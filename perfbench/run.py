@@ -12,6 +12,7 @@ no result, if the build or the run fails.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -43,11 +44,20 @@ def build(out: str) -> str:
     return os.path.join(out, "perfbench")
 
 
+def default_seconds() -> int:
+    """BENCHMARK.json's run_seconds, the duration runs are sized for."""
+    try:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            return int(json.load(f)["run_seconds"])
+    except (OSError, ValueError, KeyError):
+        return 20
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=default_seconds())
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 

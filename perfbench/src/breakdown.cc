@@ -1,13 +1,17 @@
 #include "breakdown.h"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 
+#include "cnn/model_zoo.h"
 #include "core/amc_pipeline.h"
 #include "eval/metrics.h"
 #include "net/wire.h"
+#include "sparse/rle.h"
+#include "video/scenarios.h"
 
 namespace perfbench {
 
@@ -312,6 +316,104 @@ codec_breakdown(const std::vector<const eva2::Tensor *> &frames,
     out.encode_us = 1e3 * encode_ms / n;
     out.decode_us = 1e3 * decode_ms / n;
     out.bytes_per_frame = bytes / n;
+    return out;
+}
+
+namespace {
+
+/** Sessions of the idle-fleet phase. */
+constexpr i64 kFleetSessions = 512;
+/** Distinct frame streams the fleet's sessions cycle through. */
+constexpr i64 kFleetStreams = 8;
+/** Frames per burst; every session sends two bursts. */
+constexpr i64 kFleetBurst = 2;
+
+eva2::EngineConfig
+fleet_config(const std::string &memory)
+{
+    eva2::EngineConfig ec;
+    ec.policy = "adaptive_error:th=0.05,max_gap=10";
+    ec.search_radius = 4;
+    ec.num_threads = 1;    // Inline commits, so eviction is deterministic.
+    ec.pipeline_depth = 1; // One frame in flight per session.
+    ec.memory = memory;
+    return ec;
+}
+
+} // namespace
+
+MemoryTierBreakdown
+memory_tier_breakdown(u64 seed, Tracer &tracer)
+{
+    eva2::ScaledBuildOptions build;
+    build.input = eva2::Shape{1, 64, 64};
+    const eva2::Network net = eva2::build_scaled(eva2::alexnet_spec(), build);
+    const std::vector<eva2::Sequence> raw = eva2::multi_stream_set(
+        seed, kFleetStreams, 2 * kFleetBurst, build.input.h);
+    // Frames on the Q8.8 grid the hibernated key state is stored on,
+    // so hibernation is lossless and digests stay exact.
+    std::vector<std::vector<eva2::Tensor>> streams(kFleetStreams);
+    for (size_t p = 0; p < streams.size(); ++p) {
+        for (const eva2::LabeledFrame &f : raw[p].frames) {
+            streams[p].push_back(eva2::quantize_q88(f.image));
+        }
+    }
+    auto stream_of = [&](i64 session) -> const std::vector<eva2::Tensor> & {
+        return streams[static_cast<size_t>(session % kFleetStreams)];
+    };
+
+    // Budget-less control: the digest every session fed the same
+    // frames must reproduce, and one session's unconstrained bytes.
+    std::vector<u64> control(streams.size());
+    i64 session_bytes = 0;
+    {
+        eva2::Engine engine(net, fleet_config("budget_mb:1048576"));
+        for (size_t p = 0; p < streams.size(); ++p) {
+            eva2::Session &s = engine.session("control" + std::to_string(p));
+            for (const eva2::Tensor &f : streams[p]) {
+                (void)s.submit(f);
+            }
+            control[p] = s.report().digest;
+        }
+        session_bytes = engine.resident_manager()->stats().resident_bytes /
+                        static_cast<i64>(streams.size());
+    }
+
+    MemoryTierBreakdown out;
+    out.sessions = kFleetSessions;
+    out.frames = kFleetSessions * 2 * kFleetBurst;
+    out.budget_mb = std::max<i64>(
+        1, session_bytes * kFleetSessions * 3 / 5 / (1024 * 1024));
+    eva2::Engine engine(net,
+                        fleet_config("budget_mb:" +
+                                     std::to_string(out.budget_mb) +
+                                     ",hibernate=on"));
+    std::vector<eva2::Session *> sessions;
+    for (i64 i = 0; i < kFleetSessions; ++i) {
+        sessions.push_back(&engine.session("fleet" + std::to_string(i)));
+    }
+    for (i64 burst = 0; burst < 2; ++burst) {
+        const TimePoint t0 = Clock::now();
+        for (i64 i = 0; i < kFleetSessions; ++i) {
+            for (i64 k = burst * kFleetBurst; k < (burst + 1) * kFleetBurst;
+                 ++k) {
+                (void)sessions[static_cast<size_t>(i)]->submit(
+                    stream_of(i)[static_cast<size_t>(k)]);
+            }
+        }
+        tracer.span("runtime", "idle fleet burst " + std::to_string(burst),
+                    t0, Clock::now(), kLaneGenerator);
+    }
+    engine.flush();
+    out.stats = engine.resident_manager()->stats();
+    for (i64 i = 0; i < kFleetSessions; ++i) {
+        const u64 digest = sessions[static_cast<size_t>(i)]->report().digest;
+        if (digest != control[static_cast<size_t>(i % kFleetStreams)]) {
+            throw std::runtime_error(
+                "idle fleet: session " + std::to_string(i) +
+                " digest differs from the budget-less control");
+        }
+    }
     return out;
 }
 

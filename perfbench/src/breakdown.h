@@ -18,6 +18,7 @@
 
 #include "api/engine.h"
 #include "bench.h"
+#include "runtime/resident_set.h"
 #include "trace.h"
 
 namespace perfbench {
@@ -114,6 +115,28 @@ struct CodecBreakdown
 /** Time the wire codec on the workload's own frames. */
 CodecBreakdown codec_breakdown(const std::vector<const eva2::Tensor *> &frames,
                                Tracer &tracer);
+
+/** What the memory tier did in the idle-fleet phase. */
+struct MemoryTierBreakdown
+{
+    i64 sessions = 0;
+    i64 frames = 0;
+    i64 budget_mb = 0;
+    eva2::MemoryStats stats; ///< RunReport memory section at the end.
+};
+
+/**
+ * The idle-fleet phase: in-process sessions of a small AlexNet
+ * (64 px, Q8.8 frames) on an engine whose `budget_mb:N,hibernate=on`
+ * budget is about 60% of the fleet's unconstrained footprint. Every
+ * session sends a 2-frame burst, idles while the rest of the fleet
+ * runs, then returns for a second burst, so the LRU tier hibernates
+ * (writes) and hydrates (reads) sessions. The same for every workload,
+ * since no served workload puts the tier under pressure. Each
+ * session's chained digest must equal a budget-less control's; throws
+ * otherwise.
+ */
+MemoryTierBreakdown memory_tier_breakdown(u64 seed, Tracer &tracer);
 
 } // namespace perfbench
 
