@@ -16,12 +16,14 @@
  * (see docs/suffix_batching.md).
  *
  * Executions per row:
- *   serial      the legacy internal StreamExecutor, stream loop and
- *               kernel pool pinned to one thread (the bit-exactness
- *               reference),
+ *   serial      the serial AmcPipeline reference (reference_rows),
+ *               stream loop and kernel pool pinned to one thread (the
+ *               bit-exactness reference),
  *   pipe=off    the Engine serving API with frame pipelining
- *               disabled (pipeline_depth=1),
- *   pipe=on     the Engine with the stage scheduler enabled,
+ *               disabled (pipeline_depth=1): every frame's stages
+ *               run one after another, on the engine's workers,
+ *   pipe=on     the same Engine path with up to --depth frames of
+ *               each stream in flight across the stages,
  *   batch=on    (with --batch=on|both) pipe=on plus cross-stream
  *               suffix batching (batch=auto).
  *
@@ -45,6 +47,7 @@
  * >= 1.2x unbatched frames/sec from that file.
  */
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -52,7 +55,6 @@
 
 #include "api/engine.h"
 #include "bench_common.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "util/json.h"
 
@@ -191,22 +193,34 @@ engine_config(const Workload &wl, i64 threads, i64 pipeline_depth)
     return config;
 }
 
-/** Legacy-API options matching engine_config, for the cross-check. */
-StreamExecutorOptions
-legacy_options(const Workload &wl, i64 threads)
+/** The serial reference's digest and throughput. */
+struct Reference
 {
-    StreamExecutorOptions opts;
-    opts.num_threads = threads;
-    opts.pipeline_depth = 1;
-    opts.amc.search_radius = wl.search_radius;
-    opts.amc.target_choice = std::string(wl.target) == "early"
-                                 ? TargetChoice::kEarly
-                                 : TargetChoice::kLastSpatial;
-    const std::string policy = wl.policy;
-    opts.make_policy = [policy](i64) {
-        return PolicyRegistry::instance().make(policy);
-    };
-    return opts;
+    u64 digest = 0;
+    double fps = 0.0;
+};
+
+/**
+ * Run the serial reference for `wl` over `streams`, with the kernel
+ * pool pinned to one thread: the digest every engine row must match.
+ */
+Reference
+serial_reference(const Network &net, const Workload &wl,
+                 const std::vector<Sequence> &streams)
+{
+    ThreadPool::set_global_size(1);
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<StreamReport> rows =
+        reference_rows(net, engine_config(wl, 1, 1), streams);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    i64 frames = 0;
+    for (const StreamReport &row : rows) {
+        frames += row.frames;
+    }
+    return {chain_digest(rows),
+            ms > 0.0 ? static_cast<double>(frames) * 1000.0 / ms : 0.0};
 }
 
 /** Everything the suffix-batching comparison phase produced. */
@@ -258,11 +272,9 @@ run_batch_phase(const Args &args, i64 streams, i64 frames)
     const std::vector<Sequence> feeds =
         multi_stream_set(/*seed=*/43, streams, frames, 80);
 
-    ThreadPool::set_global_size(1);
-    StreamExecutor serial(net, legacy_options(wl, 1));
-    const BatchResult base = serial.run(feeds);
-    phase.serial_fps = base.frames_per_second();
-    phase.serial_digest = base.digest();
+    const Reference base = serial_reference(net, wl, feeds);
+    phase.serial_fps = base.fps;
+    phase.serial_digest = base.digest;
 
     ThreadPool::set_global_size(args.threads);
     {
@@ -277,8 +289,8 @@ run_batch_phase(const Args &args, i64 streams, i64 frames)
         Engine engine(net, config);
         phase.on = engine.run(feeds);
     }
-    phase.identical = base.digest() == phase.off.digest &&
-                      base.digest() == phase.on.digest;
+    phase.identical = base.digest == phase.off.digest &&
+                      base.digest == phase.on.digest;
     return phase;
 }
 
@@ -366,11 +378,9 @@ main(int argc, char **argv)
         const std::vector<Sequence> streams =
             multi_stream_set(/*seed=*/41, n, args.frames, args.size);
 
-        // 1-thread serial baseline on the legacy internal API: stream
-        // loop, frame loop, and kernels pinned to one thread.
-        ThreadPool::set_global_size(1);
-        StreamExecutor serial(net, legacy_options(wl, 1));
-        const BatchResult base = serial.run(streams);
+        // 1-thread serial reference: stream loop, frame loop, and
+        // kernels pinned to one thread.
+        const Reference base = serial_reference(net, wl, streams);
 
         // The Engine serving API, frame pipelining off/on. Streams
         // fan out across its pool; with pipelining the stage
@@ -398,13 +408,13 @@ main(int argc, char **argv)
 
         bool identical = true;
         if (run_off) {
-            identical = identical && base.digest() == off.digest;
+            identical = identical && base.digest == off.digest;
         }
         if (run_on) {
-            identical = identical && base.digest() == on.digest;
+            identical = identical && base.digest == on.digest;
         }
         if (run_batch) {
-            identical = identical && base.digest() == batched.digest;
+            identical = identical && base.digest == batched.digest;
         }
         all_identical = all_identical && identical;
         const double speedup =
@@ -417,11 +427,11 @@ main(int argc, char **argv)
                 ? on.wall_ms / batched.wall_ms
                 : 0.0;
         final_speedup = speedup;
-        final_serial_fps = base.frames_per_second();
+        final_serial_fps = base.fps;
         final_on = on;
         final_off = off;
         std::vector<std::string> row = {
-            std::to_string(n), fmt(base.frames_per_second(), 2),
+            std::to_string(n), fmt(base.fps, 2),
             run_off ? fmt(off.frames_per_second(), 2) : "-",
             run_on ? fmt(on.frames_per_second(), 2) : "-",
             speedup > 0.0 ? fmt(speedup, 2) + "x" : "-"};

@@ -35,7 +35,7 @@ main()
     cfg.scene_cut_frame = 8;
     SyntheticVideo video(cfg);
 
-    const StreamReport report =
+    const StreamTimeline report =
         sim.simulate(amc, video.sequence("varied", 20));
 
     banner("Per-frame deployment timeline (FasterM)");

@@ -152,7 +152,7 @@ main(int argc, char **argv)
     const StreamSimulator sim(spec);
 
     SyntheticVideo video(scene_for(o.scene, o.seed, size));
-    const StreamReport report =
+    const StreamTimeline report =
         sim.simulate(pipeline, video.sequence(o.scene, o.frames));
 
     banner(spec.name + " on '" + o.scene + "' (" +

@@ -14,8 +14,8 @@
  * credit. At the end the server drains gracefully (every in-flight
  * frame answered, BYE to every connection), prints its RunReport —
  * now including the `net` section — and the same traffic is replayed
- * on the legacy single-threaded StreamExecutor to verify the whole
- * TCP path was bit-identical.
+ * through the serial AmcPipeline reference (reference_rows) to verify
+ * the whole TCP path was bit-identical.
  *
  * See docs/serving.md for the wire format and semantics.
  */
@@ -26,7 +26,6 @@
 #include "cnn/model_zoo.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "video/scenarios.h"
 
@@ -133,18 +132,12 @@ main()
               << "occupancy " << report.batching.mean_occupancy()
               << "\n";
 
-    // Replay the same traffic serially on the legacy internal API and
+    // Replay the same traffic through the serial reference and
     // compare: the whole TCP serving path must be bit-identical.
-    StreamExecutorOptions replay_opts;
-    replay_opts.num_threads = 1;
-    replay_opts.make_policy = [](i64) {
-        return std::make_unique<BlockErrorPolicy>(/*threshold=*/0.02,
-                                                  /*max_gap=*/8);
-    };
-    StreamExecutor replay(net, replay_opts);
-    const u64 serial_digest = replay.run(feeds).digest();
+    const u64 serial_digest =
+        chain_digest(reference_rows(net, config, feeds));
     const bool identical = serial_digest == report.digest;
-    std::cout << "\nTCP serving path vs serial batch replay: "
+    std::cout << "\nTCP serving path vs serial reference replay: "
               << (identical ? "bit-identical" : "MISMATCH") << "\n";
     return identical ? 0 : 1;
 }

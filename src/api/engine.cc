@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "eval/metrics.h"
@@ -94,9 +95,6 @@ EngineConfig::resolve(const Network &net) const
     require(pipeline_depth >= 0,
             "EngineConfig: pipeline_depth must be >= 0, got " +
                 std::to_string(pipeline_depth));
-    opts.num_threads = num_threads;
-    opts.store_outputs = store_outputs;
-    opts.pipeline_depth = pipeline_depth;
     opts.suffix_batch = resolve_batch(batch);
     // Validate the memory spec here so a typo throws at construction
     // like every other field; the Engine re-resolves it for its own
@@ -116,32 +114,51 @@ EngineConfig::resolve(const Network &net) const
     return opts;
 }
 
+std::vector<StreamReport>
+reference_rows(const Network &net, const EngineConfig &config,
+               const std::vector<Sequence> &streams)
+{
+    const StreamExecutorOptions opts = config.resolve(net);
+    std::vector<StreamReport> rows;
+    rows.reserve(streams.size());
+    for (size_t i = 0; i < streams.size(); ++i) {
+        const i64 index = static_cast<i64>(i);
+        AmcPipeline pipeline(net, opts.make_policy(index), opts.amc);
+        StreamReport row{streams[i].name, index};
+        for (const LabeledFrame &frame : streams[i].frames) {
+            const AmcFrameResult r = pipeline.process(frame.image);
+            row.add_frame(r.is_key, r.me_add_ops, tensor_digest(r.output));
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
 // --------------------------------------------------------------------
 // Session
 
 Session::Session(Engine *engine, i64 index, std::string name,
-                 AmcPipeline *pipeline)
+                 std::unique_ptr<AmcPipeline> pipeline,
+                 SuffixBatcher *batcher)
     : engine_(engine),
       index_(index),
       name_(std::move(name)),
-      pipeline_(pipeline)
+      pipeline_(std::move(pipeline)),
+      row_{name_, index_}
 {
+    pipeline_->set_observer(&timings_);
     // The session's submission strand: the scheduler serializes the
     // stateful front stages in submission order and delivers commits
     // in order; with a pool and depth > 1 it overlaps each frame's
     // CNN suffix with the next frames' front stages. Without a pool
-    // every frame is processed inline during submit(), exactly the
-    // legacy serial-engine behavior.
+    // every frame is processed inline during submit(). With
+    // batch=auto the suffix stage becomes enqueue-to-batcher: this
+    // session's suffixes execute batched with every other session's.
     StageSchedulerOptions opts;
     opts.depth = std::max<i64>(1, engine_->config_.pipeline_depth);
-    opts.store_outputs = engine_->store_outputs_;
-    // With batch=auto the suffix stage becomes enqueue-to-batcher:
-    // this session's suffixes execute batched with every other
-    // session's. Sessions are created under the engine mutex, which
-    // serializes the batcher's lazy creation.
-    opts.batcher = engine_->executor_->suffix_batcher();
+    opts.batcher = batcher;
     scheduler_ = std::make_unique<StageScheduler>(
-        *pipeline_, engine_->executor_->pool(), opts,
+        *pipeline_, engine_->pool_.get(), opts,
         [this](FrameCommit commit) {
             record_commit(std::move(commit));
         });
@@ -213,7 +230,8 @@ Session::check_ticket(const FrameTicket &ticket) const
     require(ticket.frame >= done_base_,
             "session '" + name_ + "': outcome of frame " +
                 std::to_string(ticket.frame) +
-                " was forgotten (forget_outcomes)");
+                " was forgotten (forget_outcomes) or delivered to the "
+                "outcome sink");
 }
 
 FrameTicket
@@ -236,45 +254,39 @@ Session::submit_all(const Sequence &seq)
 void
 Session::record_commit(FrameCommit commit)
 {
-    FrameOutcome outcome;
+    const FrameOutcome &outcome = commit.outcome;
     OutcomeSink sink;
-    const i64 resident_bytes = commit.resident_bytes;
     {
         MutexLock lock(mutex_);
-        outcome.frame = done_base_ + static_cast<i64>(done_.size());
         if (commit.error) {
-            outcome.failed = true;
-            // Keep every frame's own diagnostic; error_ stays the
-            // first failure, the one drain() keeps surfacing.
-            frame_errors_[outcome.frame] = commit.error;
+            // error_ stays the first failure, the one drain() keeps
+            // surfacing.
             if (!error_) {
                 error_ = commit.error;
             }
         } else {
-            outcome.is_key = commit.is_key;
-            outcome.top1 = commit.top1;
-            outcome.output_digest = commit.output_digest;
-            outcome.match_error = commit.match_error;
-            outcome.me_add_ops = commit.me_add_ops;
-            digest_ = digest_combine(digest_, outcome.output_digest);
-            ++frames_;
-            if (outcome.is_key) {
-                ++key_frames_;
-            }
-            me_add_ops_ += outcome.me_add_ops;
-            if (engine_->store_outputs_) {
-                outputs_.push_back(std::move(commit.output));
-            }
+            row_.add_frame(outcome.is_key, outcome.me_add_ops,
+                           outcome.output_digest);
         }
-        done_.push_back(outcome);
+        if (outcome_sink_) {
+            // Delivered, not retained: the sink owns the record, so a
+            // served session's memory does not grow per frame.
+            sink = outcome_sink_;
+            done_base_ = outcome.frame + 1;
+        } else {
+            // Keep every retained frame's own diagnostic for wait().
+            if (commit.error) {
+                frame_errors_[outcome.frame] = commit.error;
+            }
+            done_.push_back(outcome);
+        }
         last_done_ = std::chrono::steady_clock::now();
-        sink = outcome_sink_;
         cv_.notify_all();
     }
     // Resident accounting runs outside the session lock too — the
     // eviction walk it may trigger try_locks *other* sessions' gates.
-    if (!outcome.failed && resident_bytes > 0) {
-        engine_->note_commit_resident(index_, resident_bytes);
+    if (!outcome.failed && commit.resident_bytes > 0) {
+        engine_->note_commit_resident(index_, commit.resident_bytes);
     }
     // Outside the session lock, so the sink may call poll() or
     // completed(). Commits are delivered serially in frame order
@@ -288,7 +300,22 @@ void
 Session::set_outcome_sink(OutcomeSink sink)
 {
     MutexLock lock(mutex_);
+    if (sink) {
+        // From here on outcomes go to the sink; forget the retained
+        // ones so the session holds no per-frame records at all.
+        done_base_ += static_cast<i64>(done_.size());
+        done_.clear();
+        frame_errors_.clear();
+        cv_.notify_all();
+    }
     outcome_sink_ = std::move(sink);
+}
+
+bool
+Session::has_sink() const
+{
+    MutexLock lock(mutex_);
+    return static_cast<bool>(outcome_sink_);
 }
 
 std::optional<FrameOutcome>
@@ -360,25 +387,27 @@ Session::completed() const
     return done_base_ + static_cast<i64>(done_.size());
 }
 
-std::vector<Tensor>
-Session::outputs() const
-{
-    MutexLock lock(mutex_);
-    return outputs_;
-}
-
 StreamReport
 Session::report()
 {
     drain();
     MutexLock lock(mutex_);
-    StreamReport row;
-    row.name = name_;
-    row.stream_index = index_;
-    row.frames = frames_;
-    row.key_frames = key_frames_;
-    row.me_add_ops = me_add_ops_;
-    row.digest = digest_;
+    return row_;
+}
+
+StreamReport
+Session::row_since(i64 first) const
+{
+    MutexLock lock(mutex_);
+    require(first >= done_base_,
+            "session '" + name_ + "': outcomes from frame " +
+                std::to_string(first) + " were not retained");
+    StreamReport row{name_, index_};
+    for (size_t i = static_cast<size_t>(first - done_base_);
+         i < done_.size(); ++i) {
+        const FrameOutcome &o = done_[i];
+        row.add_frame(o.is_key, o.me_add_ops, o.output_digest);
+    }
     return row;
 }
 
@@ -389,7 +418,6 @@ Session::forget_outcomes()
     MutexLock lock(mutex_);
     done_base_ += static_cast<i64>(done_.size());
     done_.clear();
-    outputs_.clear();
     // Forgotten tickets are rejected before lookup, so their
     // diagnostics can go too; error_ stays sticky for drain().
     frame_errors_.clear();
@@ -406,19 +434,18 @@ Session::reset_record()
     // the drained invariant; one that arrives later observes the new
     // epoch and the restarted frame numbering together.
     MutexLock gate(submit_mutex_);
-    // Restart the strand's frame numbering (asserts it is drained).
+    // Restart the strand's frame numbering (asserts it is drained),
+    // then the stream itself: key frame, policy state, timings.
     scheduler_->reset_counters();
+    pipeline_->reset();
+    timings_.reset();
     MutexLock lock(mutex_);
     ++epoch_; // Pre-reset tickets must not match the new stream.
     done_base_ = 0;
     done_.clear();
-    outputs_.clear();
     error_ = nullptr;
     frame_errors_.clear();
-    digest_ = kDigestSeed;
-    frames_ = 0;
-    key_frames_ = 0;
-    me_add_ops_ = 0;
+    row_ = StreamReport{name_, index_};
     has_times_ = false;
     // Wake cross-thread waiters blocked on pre-reset tickets; their
     // epoch re-check throws the stale-ticket error instead of
@@ -445,14 +472,18 @@ Session::time_bounds(std::chrono::steady_clock::time_point *first,
 Engine::Engine(const Network &net, EngineConfig config)
     : net_(&net),
       config_(std::move(config)),
-      store_outputs_(config_.store_outputs),
-      executor_(std::make_unique<StreamExecutor>(
-          net, config_.resolve(net))),
+      opts_(config_.resolve(net)),
+      num_threads_(config_.num_threads > 0
+                       ? config_.num_threads
+                       : ThreadPool::default_num_threads()),
       memory_budget_(resolve_memory_spec(config_.memory))
 {
     if (memory_budget_.enabled) {
         resident_ =
             std::make_unique<ResidentSetManager>(memory_budget_);
+    }
+    if (num_threads_ > 1) {
+        pool_ = std::make_unique<ThreadPool>(num_threads_);
     }
 }
 
@@ -482,6 +513,18 @@ Engine::ensure_open(const char *what) const
     }
 }
 
+std::vector<Session *>
+Engine::sessions_snapshot() const
+{
+    MutexLock lock(mutex_);
+    std::vector<Session *> sessions;
+    sessions.reserve(sessions_.size());
+    for (const auto &s : sessions_) {
+        sessions.push_back(s.get());
+    }
+    return sessions;
+}
+
 void
 Engine::close()
 {
@@ -495,33 +538,32 @@ Engine::close()
     // enqueued, so acquiring every gate here means the flush below
     // sees every racing frame, and any submit arriving afterwards
     // observes closed_ under the gate and throws.
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
-    for (Session *s : sessions) {
+    for (Session *s : sessions_snapshot()) {
         MutexLock gate(s->submit_mutex_);
     }
     flush();
 }
 
-AmcPipeline &
-Engine::pipeline_locked(i64 index)
+SuffixBatcher *
+Engine::batcher_locked(const AmcPipeline &pipeline)
 {
-    AmcPipeline &p = executor_->pipeline(index);
-    while (static_cast<i64>(timings_.size()) <=
-           executor_->num_pipelines() - 1) {
-        const i64 i = static_cast<i64>(timings_.size());
-        timings_.push_back(std::make_unique<StageTimings>());
-        if (config_.collect_timings) {
-            executor_->pipeline(i).set_observer(timings_.back().get());
-        }
+    if (!opts_.suffix_batch.enabled) {
+        return nullptr;
     }
-    return p;
+    if (!batcher_) {
+        batched_suffix_ = std::make_unique<BatchedExecutionPlan>(
+            pipeline.suffix_plan(), opts_.suffix_batch.max_batch);
+        batcher_ = std::make_unique<SuffixBatcher>(
+            *batched_suffix_, pool_.get(), opts_.suffix_batch);
+    }
+    return batcher_.get();
+}
+
+SuffixBatchStats
+Engine::batch_stats() const
+{
+    MutexLock lock(mutex_);
+    return batcher_ ? batcher_->stats() : SuffixBatchStats{};
 }
 
 Session &
@@ -537,9 +579,11 @@ Engine::session(const std::string &name)
     }
     ensure_open("Engine::session");
     const i64 index = static_cast<i64>(sessions_.size());
-    AmcPipeline &pipeline = pipeline_locked(index);
-    sessions_.push_back(std::unique_ptr<Session>(
-        new Session(this, index, name, &pipeline)));
+    auto pipeline = std::make_unique<AmcPipeline>(
+        *net_, opts_.make_policy(index), opts_.amc);
+    SuffixBatcher *batcher = batcher_locked(*pipeline);
+    sessions_.push_back(std::unique_ptr<Session>(new Session(
+        this, index, name, std::move(pipeline), batcher)));
     session_index_[name] = index;
     return *sessions_.back();
 }
@@ -559,17 +603,6 @@ Engine::num_sessions() const
 {
     MutexLock lock(mutex_);
     return static_cast<i64>(sessions_.size());
-}
-
-i64
-Engine::in_flight() const
-{
-    MutexLock lock(mutex_);
-    i64 total = 0;
-    for (const auto &s : sessions_) {
-        total += s->in_flight();
-    }
-    return total;
 }
 
 bool
@@ -635,7 +668,7 @@ Engine::evict_to_budget(i64 protect_index)
 }
 
 RunReport
-Engine::base_report()
+Engine::base_report(const std::vector<Session *> &sessions) const
 {
     RunReport report;
     report.network = net_->name();
@@ -651,78 +684,100 @@ Engine::base_report()
         report.memory = resident_->stats();
     }
     report.simd_isa = simd_supported() ? simd_isa_name() : "scalar";
-    report.num_threads = executor_->num_threads();
+    report.num_threads = num_threads_;
     report.pipeline_depth = config_.pipeline_depth;
-    report.batching = executor_->suffix_batch_stats();
+    report.batching = batch_stats();
     // Per-layer kernel selection: all pipelines share one network and
-    // one config, so stream 0's compiled plans describe every stream.
-    if (executor_->num_pipelines() > 0) {
-        report.plan = executor_->pipeline(0).plan_records();
+    // one config, so the first stream's compiled plans describe all.
+    if (!sessions.empty()) {
+        report.plan = sessions.front()->pipeline_->plan_records();
     }
     return report;
 }
+
+StageTimings
+Engine::merged_timings(const std::vector<Session *> &sessions)
+{
+    StageTimings merged;
+    for (const Session *s : sessions) {
+        merged.merge(s->timings_);
+    }
+    return merged;
+}
+
+namespace {
+
+/** Append `row` to the report's rows and totals (digest at the end). */
+void
+add_row(RunReport &report, StreamReport row)
+{
+    report.frames += row.frames;
+    report.key_frames += row.key_frames;
+    report.me_add_ops += row.me_add_ops;
+    report.streams.push_back(std::move(row));
+}
+
+} // namespace
 
 RunReport
 Engine::run(const std::vector<Sequence> &streams)
 {
     ensure_open("Engine::run");
-    flush();
-    // The batch path drives pipelines directly, below the session
-    // layer that hydrates on submit — wake any hibernated session
-    // first so the executor never runs a front on compressed state.
-    if (resident_) {
-        std::vector<Session *> sessions;
-        {
-            MutexLock lock(mutex_);
-            sessions.reserve(sessions_.size());
-            for (const auto &s : sessions_) {
-                sessions.push_back(s.get());
+    // Reject the whole call before touching any session, so a bad
+    // argument leaves every stream exactly as it was.
+    const Shape input = net_->input_shape();
+    std::set<std::string> names;
+    for (const Sequence &seq : streams) {
+        const std::string what = "Engine::run: stream '" + seq.name + "'";
+        require(names.insert(seq.name).second, what + " appears twice");
+        for (const LabeledFrame &frame : seq.frames) {
+            if (frame.image.shape() != input) {
+                throw ConfigError(what + " has a frame of shape " +
+                                  frame.image.shape().str() +
+                                  ", network input is " + input.str());
             }
         }
-        for (Session *s : sessions) {
-            MutexLock gate(s->submit_mutex_);
-            s->hydrate_if_hibernated();
-        }
+        const Session *existing = find_session(seq.name);
+        require(existing == nullptr || !existing->has_sink(),
+                what + " feeds a session with an outcome sink, whose "
+                       "outcomes are not retained for the report");
     }
-    MutexLock lock(mutex_);
-    for (i64 i = 0; i < static_cast<i64>(streams.size()); ++i) {
-        pipeline_locked(i);
+    flush();
+
+    std::vector<Session *> targets;
+    std::vector<i64> first;
+    targets.reserve(streams.size());
+    first.reserve(streams.size());
+    for (const Sequence &seq : streams) {
+        targets.push_back(&session(seq.name));
+        first.push_back(targets.back()->submitted());
     }
     // Snapshot the (lifetime-cumulative) timing and batching sinks so
     // the report's stage rows and occupancy cover exactly this run,
     // like its frames and wall_ms.
-    StageTimings before;
-    for (const auto &t : timings_) {
-        before.merge(*t);
-    }
-    const SuffixBatchStats batch_before =
-        executor_->suffix_batch_stats();
-    const BatchResult batch = executor_->run(streams);
+    const std::vector<Session *> all = sessions_snapshot();
+    const StageTimings timings_before = merged_timings(all);
+    const SuffixBatchStats batch_before = batch_stats();
 
-    RunReport report = base_report();
-    report.batching =
-        executor_->suffix_batch_stats().delta_from(batch_before);
-    report.wall_ms = batch.wall_ms;
-    report.digest = batch.digest();
-    for (const StreamResult &s : batch.streams) {
-        StreamReport row;
-        row.name = s.name;
-        row.stream_index = s.stream_index;
-        row.frames = s.stats.frames;
-        row.key_frames = s.stats.key_frames;
-        row.me_add_ops = s.me_add_ops;
-        row.digest = s.digest;
-        report.frames += row.frames;
-        report.key_frames += row.key_frames;
-        report.me_add_ops += row.me_add_ops;
-        report.streams.push_back(std::move(row));
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < streams.size(); ++i) {
+        for (const LabeledFrame &frame : streams[i].frames) {
+            targets[i]->submit(frame.image);
+        }
     }
-    StageTimings merged;
-    for (const auto &t : timings_) {
-        merged.merge(*t);
+    flush();
+    const auto stop = std::chrono::steady_clock::now();
+
+    RunReport report = base_report(all);
+    report.batching = report.batching.delta_from(batch_before);
+    report.wall_ms =
+        std::chrono::duration<double, std::milli>(stop - start).count();
+    for (size_t i = 0; i < targets.size(); ++i) {
+        add_row(report, targets[i]->row_since(first[i]));
     }
-    report.stages =
-        stage_reports(merged.delta_from(before), report.wall_ms);
+    report.digest = chain_digest(report.streams);
+    report.stages = stage_reports(
+        merged_timings(all).delta_from(timings_before), report.wall_ms);
     return report;
 }
 
@@ -736,29 +791,14 @@ Engine::report()
     // evict_to_budget, which takes mutex_ — so a drain under mutex_
     // deadlocks (the commit blocked on mutex_ can never raise the
     // committed count the drain is waiting for). The flush() above
-    // already quiesced every session, so the rows are stable; the
-    // snapshot matches flush()'s own pattern.
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
-    RunReport report = base_report();
-    report.digest = kDigestSeed;
+    // already quiesced every session, so the rows are stable.
+    const std::vector<Session *> sessions = sessions_snapshot();
+    RunReport report = base_report(sessions);
     bool any_time = false;
     std::chrono::steady_clock::time_point first{};
     std::chrono::steady_clock::time_point last{};
     for (Session *session : sessions) {
-        StreamReport row = session->report();
-        report.frames += row.frames;
-        report.key_frames += row.key_frames;
-        report.me_add_ops += row.me_add_ops;
-        report.digest = digest_combine(report.digest, row.digest);
-        report.streams.push_back(std::move(row));
-
+        add_row(report, session->report());
         std::chrono::steady_clock::time_point f, l;
         if (session->time_bounds(&f, &l)) {
             if (!any_time || f < first) {
@@ -770,39 +810,26 @@ Engine::report()
             any_time = true;
         }
     }
+    report.digest = chain_digest(report.streams);
     if (any_time) {
         report.wall_ms =
             std::chrono::duration<double, std::milli>(last - first)
                 .count();
     }
-    StageTimings merged;
-    {
-        MutexLock lock(mutex_);
-        for (const auto &t : timings_) {
-            merged.merge(*t);
-        }
-    }
-    report.stages = stage_reports(merged, report.wall_ms);
+    report.stages =
+        stage_reports(merged_timings(sessions), report.wall_ms);
     return report;
 }
 
 void
 Engine::flush()
 {
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
     // Drain without holding the engine mutex: strand tasks only take
     // their session's mutex, so new sessions can still be created
     // while we wait. Surface the first stream failure after every
     // session has drained.
     std::exception_ptr error;
-    for (Session *s : sessions) {
+    for (Session *s : sessions_snapshot()) {
         try {
             s->drain();
         } catch (...) {
@@ -819,9 +846,8 @@ Engine::flush()
 void
 Engine::reset()
 {
-    // Snapshot the session list, then drain and reset the per-session
-    // records WITHOUT holding mutex_. Two deadlocks hide in the
-    // holding-mutex_ shape this replaced: (a) a commit still in
+    // Work on a snapshot, WITHOUT holding mutex_. Two deadlocks hide
+    // in the holding-mutex_ shape this replaced: (a) a commit still in
     // flight re-enters the engine via note_commit_resident →
     // evict_to_budget, which takes mutex_, so a drain under mutex_
     // waits on a commit that waits on us; (b) reset_record() acquires
@@ -829,27 +855,13 @@ Engine::reset()
     // while its commit's eviction pass takes mutex_ — acquiring the
     // gate under mutex_ is that same pair in the opposite order. See
     // docs/static_analysis.md (lock ordering).
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
+    const std::vector<Session *> sessions = sessions_snapshot();
     // Drain but swallow stream failures: reset discards the very
     // state (records, sticky errors) a failure poisoned.
     for (Session *s : sessions) {
         try {
             s->drain();
         } catch (...) {
-        }
-    }
-    {
-        MutexLock lock(mutex_);
-        executor_->reset_streams();
-        for (const auto &t : timings_) {
-            t->reset();
         }
     }
     for (Session *s : sessions) {

@@ -6,27 +6,27 @@
  * is configured declaratively — every component is a registry spec
  * string (`policy = "adaptive_error:th=0.05,max_gap=8"`), so a config
  * file or RPC payload can select policies, interpolation, and storage
- * codecs without touching C++ types — and it offers two ingestion
- * paths over the same per-stream AMC state:
+ * codecs without touching C++ types.
  *
- *  - the batch path, `run(streams)`: process whole Sequence chunks
- *    across all streams (the legacy StreamExecutor shape), and
- *  - the frame path, `Session::submit(frame) -> FrameTicket` plus
- *    `poll()`/`wait()`: feed one frame of one live feed at a time,
- *    the way frames actually arrive from cameras.
- *
- * Both paths drive the same internal execution layer (one AmcPipeline
- * per stream behind a StreamExecutor), so a stream fed frame-by-frame
- * produces output digests bit-identical to the same frames fed as one
- * batch. Results come back as a structured RunReport — per-stream
- * stats, chained digests, RFBME op counts, per-stage timings from the
- * instrumentation hook layer — with JSON serialization.
+ * Frames run one way: through a Session, the per-stream strand that
+ * owns the stream's AmcPipeline and feeds it through a StageScheduler
+ * on the engine's worker pool. `Session::submit(frame) -> FrameTicket`
+ * plus `poll()`/`wait()` feed one frame of one live feed at a time,
+ * the way frames actually arrive from cameras; `Engine::run(streams)`
+ * is only a convenience over the same path — it submits every frame
+ * of every sequence to the session of that name and flushes. A stream
+ * fed frame-by-frame therefore produces output digests bit-identical
+ * to the same frames fed as one batch, and both match the serial
+ * AmcPipeline reference (reference_rows below). Results come back as
+ * a structured RunReport — per-stream stats, chained digests, RFBME
+ * op counts, per-stage timings from the instrumentation hook layer —
+ * with JSON serialization.
  *
  * Threading model: sessions are independent strands. submit() may be
  * called from any thread; frames of one session are processed
  * strictly in submission order (on the engine's worker pool, or
  * inline when num_threads == 1), while different sessions run
- * concurrently. Batch run(), report(), and reset() first drain all
+ * concurrently. run(), report(), and reset() first drain all
  * in-flight session work; do not call them concurrently with
  * submissions to the streams they touch.
  */
@@ -45,10 +45,30 @@
 #include "api/registry.h"
 #include "api/run_report.h"
 #include "runtime/stage_scheduler.h"
-#include "runtime/stream_executor.h"
+#include "tensor/tensor_ops.h"
+#include "util/digest.h"
 #include "util/mutex.h"
+#include "video/frame.h"
 
 namespace eva2 {
+
+/**
+ * An EngineConfig resolved against a network: what every stream's
+ * AmcPipeline and the shared suffix batcher are built from.
+ */
+struct StreamExecutorOptions
+{
+    /** Pipeline options applied to every stream. */
+    AmcOptions amc;
+    /**
+     * Per-stream key-frame policy factory (policies are stateful and
+     * owned, so each stream needs its own instance).
+     */
+    std::function<std::unique_ptr<KeyFramePolicy>(i64 stream_index)>
+        make_policy;
+    /** Cross-stream suffix batching (runtime/suffix_batcher.h). */
+    SuffixBatchOptions suffix_batch;
+};
 
 /**
  * Declarative engine configuration. String fields are registry specs
@@ -128,14 +148,11 @@ struct EngineConfig
      * legacy shape). Output digests are bit-identical either way.
      */
     i64 pipeline_depth = 3;
-    /** Retain every output tensor (tests; memory-heavy). */
-    bool store_outputs = false;
-    /** Feed the per-stage instrumentation layer (cheap; default on). */
-    bool collect_timings = true;
 
     /**
      * Resolve every spec against the registries and the network into
-     * executor options; throws ConfigError on any invalid field.
+     * pipeline options; throws ConfigError on any invalid field
+     * (num_threads and pipeline_depth included).
      */
     StreamExecutorOptions resolve(const Network &net) const;
 
@@ -159,24 +176,25 @@ struct FrameTicket
     bool valid() const { return session >= 0 && frame >= 0; }
 };
 
-/** The completed record of one submitted frame. */
-struct FrameOutcome
-{
-    i64 frame = -1; ///< Matches the ticket's frame number.
-    bool is_key = false;
-    i64 top1 = -1;          ///< Argmax of the network output.
-    u64 output_digest = 0;  ///< Digest of the raw output bits.
-    double match_error = 0; ///< RFBME mean error (0 on key-only path).
-    i64 me_add_ops = 0;     ///< RFBME arithmetic ops for this frame.
-    bool failed = false;    ///< Processing threw; see Session::wait.
-};
+/**
+ * The serial reference every execution shape must reproduce: each
+ * sequence run frame by frame through its own AmcPipeline::process
+ * with `config.resolve(net)`, on the calling thread. Row i covers
+ * streams[i] (stream_index i, digest chained from kDigestSeed), the
+ * rows an Engine::run over the same sequences reports on a fresh
+ * engine.
+ */
+std::vector<StreamReport>
+reference_rows(const Network &net, const EngineConfig &config,
+               const std::vector<Sequence> &streams);
 
 class Engine;
 
 /**
  * A live per-stream handle owning the submission strand for one
- * camera feed. Created by Engine::session(); pointer-stable for the
- * engine's lifetime.
+ * camera feed: the stream's AmcPipeline, its stage timings, and the
+ * StageScheduler that runs its frames. Created by Engine::session();
+ * pointer-stable for the engine's lifetime.
  */
 class Session
 {
@@ -213,9 +231,8 @@ class Session
      *
      * Failure semantics: submit() validates frame shape eagerly, so
      * a frame can only fail on an internal error. A failed frame
-     * poisons the session — it contributes nothing to the digest,
-     * stats, or outputs() (which stay aligned with the *successful*
-     * outcomes), and the stored error is sticky: wait() on the
+     * poisons the session — it contributes nothing to the digest or
+     * stats, and the stored error is sticky: wait() on the
      * failed ticket, drain(), and engine report()/flush() all keep
      * rethrowing it until Engine::reset() discards the stream.
      *
@@ -225,8 +242,9 @@ class Session
      * drains, so the outcome arrives and is returned; Engine::reset()
      * or forget_outcomes() discarding the record wakes this waiter
      * and throws the same descriptive ConfigError poll() gives for a
-     * stale/forgotten ticket. Only engine *destruction* must still be
-     * ordered after all waiters return.
+     * stale/forgotten ticket. A ticket whose outcome went to the
+     * outcome sink throws that error too. Only engine *destruction*
+     * must still be ordered after all waiters return.
      */
     FrameOutcome wait(const FrameTicket &ticket);
 
@@ -258,17 +276,23 @@ class Session
      * (set to nullptr, after a drain) before anything it captures
      * dies. Failed frames are delivered with outcome.failed set
      * rather than thrown.
+     *
+     * While a sink is installed, outcomes go to it and are not
+     * retained, so a served session's memory stays bounded by its
+     * window however many frames it serves; poll()/wait() on such a
+     * ticket throws the forgotten-ticket ConfigError. Installing a
+     * sink forgets any outcomes retained so far (without draining);
+     * completed() and frame numbering stay exact throughout.
      */
     using OutcomeSink = std::function<void(const FrameOutcome &)>;
     void set_outcome_sink(OutcomeSink sink);
 
     /**
-     * Drop the per-frame outcome records (and retained outputs)
-     * accumulated so far, keeping the cumulative stats and digest
-     * chain intact. Long-lived serving loops call this periodically
-     * to bound memory — outcomes otherwise accumulate for every
-     * frame ever submitted. Drains first; poll()/wait() on a
-     * forgotten ticket throws ConfigError.
+     * Drop the per-frame outcome records accumulated so far, keeping
+     * the cumulative stats and digest chain intact. Long-lived
+     * serving loops call this periodically to bound memory — outcomes
+     * otherwise accumulate for every frame ever submitted. Drains
+     * first; poll()/wait() on a forgotten ticket throws ConfigError.
      */
     void forget_outcomes();
 
@@ -279,20 +303,12 @@ class Session
      */
     StreamReport report();
 
-    /**
-     * Snapshot of the retained output tensors in submission order;
-     * only meaningful with EngineConfig::store_outputs, after
-     * drain(). Returned by value: the record is guarded and may be
-     * trimmed (forget_outcomes) or reset concurrently, so a reference
-     * into it could not be made safe.
-     */
-    std::vector<Tensor> outputs() const;
-
   private:
     friend class Engine;
 
     Session(Engine *engine, i64 index, std::string name,
-            AmcPipeline *pipeline);
+            std::unique_ptr<AmcPipeline> pipeline,
+            SuffixBatcher *batcher);
 
     /** Commit sink: record one pipelined frame (in frame order). */
     void record_commit(FrameCommit commit);
@@ -309,7 +325,17 @@ class Session
     void check_ticket(const FrameTicket &ticket) const
         REQUIRES(mutex_);
 
-    /** Drop cumulative records for an engine-level reset. */
+    /**
+     * The row of frames [first, completed()), from the retained
+     * outcomes (Engine::run's per-call rows); throws ConfigError if
+     * any of them was not retained.
+     */
+    StreamReport row_since(i64 first) const;
+
+    /** True while an outcome sink is installed. */
+    bool has_sink() const;
+
+    /** Reset the stream and drop its records for Engine::reset(). */
     void reset_record();
 
     /** First-submit/last-done bounds, if any work was recorded. */
@@ -319,7 +345,12 @@ class Session
     Engine *engine_;
     i64 index_;
     std::string name_;
-    AmcPipeline *pipeline_;
+    /**
+     * This stream's AMC state. Its observer is timings_, which is
+     * internally synchronized (stages report from several workers).
+     */
+    std::unique_ptr<AmcPipeline> pipeline_;
+    StageTimings timings_;
 
     /**
      * Serializes submit() against Engine::close()/reset(): a submit
@@ -340,7 +371,6 @@ class Session
     /** Frame number of done_[0] (after trims). */
     i64 done_base_ GUARDED_BY(mutex_) = 0;
     std::vector<FrameOutcome> done_ GUARDED_BY(mutex_);
-    std::vector<Tensor> outputs_ GUARDED_BY(mutex_);
     /** First failure (drain rethrows it). */
     std::exception_ptr error_ GUARDED_BY(mutex_);
     /** Every failed frame's own diagnostic, by frame number. */
@@ -348,11 +378,8 @@ class Session
     /** Per-commit push hook (may be null). */
     OutcomeSink outcome_sink_ GUARDED_BY(mutex_);
 
-    // Cumulative stream accounting (mirrors StreamResult).
-    u64 digest_ GUARDED_BY(mutex_) = kDigestSeed;
-    i64 frames_ GUARDED_BY(mutex_) = 0;
-    i64 key_frames_ GUARDED_BY(mutex_) = 0;
-    i64 me_add_ops_ GUARDED_BY(mutex_) = 0;
+    /** Cumulative stream accounting: what report() returns. */
+    StreamReport row_ GUARDED_BY(mutex_);
 
     bool has_times_ GUARDED_BY(mutex_) = false;
     std::chrono::steady_clock::time_point first_submit_
@@ -365,14 +392,15 @@ class Session
      * front stages in submission order and (with a pool) overlaps
      * each frame's CNN suffix with the next frames' fronts.
      * Declared last: its destructor drains in-flight commits into
-     * the members above, so it must be destroyed before them.
+     * the members above (and borrows pipeline_), so it must be
+     * destroyed before them.
      */
     std::unique_ptr<StageScheduler> scheduler_;
 };
 
 /**
- * The unified serving entry point: one network, N streams, both
- * batch and frame-level ingestion, structured reporting.
+ * The unified serving entry point: one network, N sessions sharing
+ * one worker pool and one suffix batcher, structured reporting.
  */
 class Engine
 {
@@ -402,25 +430,28 @@ class Engine
     i64 num_sessions() const;
 
     /**
-     * Total frames submitted but not yet completed across all
-     * sessions — the occupancy signal the serving layer's load
-     * shedding and drain logic watch. Racy by nature (sessions keep
-     * moving); exact once ingestion has stopped.
-     */
-    i64 in_flight() const;
-
-    /**
-     * Batch path: process sequence i on stream i's pipeline, exactly
-     * like the legacy StreamExecutor::run. Drains all sessions first.
-     * Stream state persists across calls, so successive chunks of the
-     * same feeds continue their AMC state.
+     * Feed whole sequences through the sessions: every frame of
+     * streams[i] is submitted to session(streams[i].name), then the
+     * engine flushes. Stream state persists across calls (and across
+     * Session::submit()s in between), so successive chunks of the
+     * same feeds continue their AMC state; on a fresh engine,
+     * sequence i becomes stream i.
+     *
+     * Checked before any frame is submitted: duplicate names, a frame
+     * whose shape does not match the network input, or a target
+     * session with an outcome sink throw ConfigError and leave every
+     * session as it was. The report covers only this call: one row
+     * per sequence (in sequence order, digest chains restarted), and
+     * wall_ms, stage rows, and batching count only this call's
+     * frames. The frames are also part of their sessions' cumulative
+     * records, so report() includes them.
      */
     RunReport run(const std::vector<Sequence> &streams);
 
     /**
-     * Aggregate report over everything the *sessions* have processed
-     * so far (drains first). Per-stream digests chain in session
-     * index order, matching a batch run over the same frames.
+     * Aggregate report over everything the sessions have processed
+     * so far, frames fed by run() included (drains first).
+     * Per-stream digests chain in session index order.
      */
     RunReport report();
 
@@ -473,19 +504,30 @@ class Engine
     bool memory_pressure() const;
 
     /** Effective stream-level worker count. */
-    i64 num_threads() const { return executor_->num_threads(); }
+    i64 num_threads() const { return num_threads_; }
 
   private:
     friend class Session;
 
-    /**
-     * The pipeline backing stream `index`, with its instrumentation
-     * observer installed; creates on demand.
-     */
-    AmcPipeline &pipeline_locked(i64 index) REQUIRES(mutex_);
-
     /** Throw a descriptive ConfigError when the engine is closed. */
     void ensure_open(const char *what) const;
+
+    /**
+     * The sessions, copied under a short mutex_ hold so callers can
+     * drain, gate, or report them with the engine mutex released.
+     */
+    std::vector<Session *> sessions_snapshot() const EXCLUDES(mutex_);
+
+    /**
+     * The shared suffix batcher, null with batch=off. Created on
+     * first use: every stream shares one network and one config, so
+     * the first pipeline's compiled suffix describes them all.
+     */
+    SuffixBatcher *batcher_locked(const AmcPipeline &pipeline)
+        REQUIRES(mutex_);
+
+    /** Batch occupancy counters so far (empty with batch=off). */
+    SuffixBatchStats batch_stats() const EXCLUDES(mutex_);
 
     /**
      * A frame of session `index` committed with `bytes` resident:
@@ -498,27 +540,41 @@ class Engine
     /** Hibernate LRU-idle sessions until under budget or no victims. */
     void evict_to_budget(i64 protect_index) EXCLUDES(mutex_);
 
-    RunReport base_report();
+    /** Config echo, plan records, and batching totals so far. */
+    RunReport base_report(const std::vector<Session *> &sessions) const;
+
+    /** Stage timings summed over `sessions`. */
+    static StageTimings
+    merged_timings(const std::vector<Session *> &sessions);
 
     const Network *net_;
     EngineConfig config_;
-    bool store_outputs_;
+    StreamExecutorOptions opts_;
+    i64 num_threads_;
     std::atomic<bool> closed_{false};
-    std::unique_ptr<StreamExecutor> executor_;
     /** Resolved memory= spec; disabled ⇒ resident_ is null. */
     MemoryBudget memory_budget_;
     std::unique_ptr<ResidentSetManager> resident_;
+    /**
+     * Stream-level workers; null when num_threads_ == 1 (every frame
+     * then runs inline on its submitting thread). Declared before the
+     * batcher and the sessions so its workers outlive both.
+     */
+    std::unique_ptr<ThreadPool> pool_;
 
     /**
-     * Guards the session/timing tables. Lock ordering (see
-     * docs/static_analysis.md): a submit gate may be held when a
-     * commit takes mutex_ (inline engines), so mutex_ must never be
-     * held while acquiring a gate or draining a session — that is the
-     * deadlock report()/reset() used to have.
+     * Guards the session table and the lazily created batcher. Lock
+     * ordering (see docs/static_analysis.md): a submit gate may be
+     * held when a commit takes mutex_ (inline engines), so mutex_ is
+     * a leaf — never held while acquiring a gate, a session's lock,
+     * or draining a session.
      */
     mutable Mutex mutex_;
-    std::vector<std::unique_ptr<StageTimings>> timings_
+    std::unique_ptr<BatchedExecutionPlan> batched_suffix_
         GUARDED_BY(mutex_);
+    /** Destroyed before the pool its batches run on. */
+    std::unique_ptr<SuffixBatcher> batcher_ GUARDED_BY(mutex_);
+    /** Destroyed first: their schedulers use the batcher and pool. */
     std::vector<std::unique_ptr<Session>> sessions_
         GUARDED_BY(mutex_);
     std::map<std::string, i64> session_index_ GUARDED_BY(mutex_);

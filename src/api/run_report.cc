@@ -15,6 +15,16 @@ digest_hex(u64 digest)
     return buf;
 }
 
+u64
+chain_digest(const std::vector<StreamReport> &rows)
+{
+    u64 digest = kDigestSeed;
+    for (const StreamReport &row : rows) {
+        digest = digest_combine(digest, row.digest);
+    }
+    return digest;
+}
+
 std::vector<StageReport>
 stage_reports(const StageTimings &timings, double wall_ms)
 {

@@ -20,6 +20,7 @@
 #include "runtime/resident_set.h"
 #include "runtime/suffix_batcher.h"
 #include "util/common.h"
+#include "util/digest.h"
 
 namespace eva2 {
 
@@ -55,7 +56,19 @@ struct StreamReport
     i64 frames = 0;
     i64 key_frames = 0;
     i64 me_add_ops = 0;
-    u64 digest = 0; ///< Frame output digests chained in order.
+    u64 digest = kDigestSeed; ///< Frame output digests chained in order.
+
+    /** Count one frame and chain its output digest. */
+    void
+    add_frame(bool is_key, i64 frame_me_add_ops, u64 output_digest)
+    {
+        ++frames;
+        if (is_key) {
+            ++key_frames;
+        }
+        me_add_ops += frame_me_add_ops;
+        digest = digest_combine(digest, output_digest);
+    }
 
     double
     key_fraction() const
@@ -131,7 +144,7 @@ struct RunReport
     i64 frames = 0;
     i64 key_frames = 0;
     i64 me_add_ops = 0;
-    /** Stream digests chained in stream order (BatchResult::digest). */
+    /** Stream digests chained in stream order (chain_digest). */
     u64 digest = 0;
 
     std::vector<StreamReport> streams;
@@ -186,6 +199,13 @@ std::vector<StageReport> stage_reports(const StageTimings &timings,
 
 /** Format a digest the way reports print it ("0x" + 16 hex digits). */
 std::string digest_hex(u64 digest);
+
+/**
+ * The rows' digests chained in order from kDigestSeed: a report's
+ * aggregate digest. Equal chains mean bit-identical outputs for every
+ * frame of every stream.
+ */
+u64 chain_digest(const std::vector<StreamReport> &rows);
 
 } // namespace eva2
 

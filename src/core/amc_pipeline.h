@@ -42,7 +42,7 @@ struct AmcFrameResult
  * counters) lives in its FramePlan and is touched without
  * synchronization. The borrowed Network is only ever read, so any
  * number of pipelines may share one network from different threads;
- * that is how the runtime's StreamExecutor scales across streams.
+ * that is how the Engine's sessions scale across streams.
  * (The stage scheduler spreads ONE pipeline's frames across threads,
  * but serializes every stateful stage itself.)
  */

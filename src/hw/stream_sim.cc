@@ -8,12 +8,12 @@ StreamSimulator::StreamSimulator(const NetworkSpec &spec,
 {
 }
 
-StreamReport
+StreamTimeline
 StreamSimulator::simulate(AmcPipeline &pipeline,
                           const Sequence &sequence) const
 {
     pipeline.reset();
-    StreamReport report;
+    StreamTimeline report;
     report.network = hw_.network;
     report.frames.reserve(static_cast<size_t>(sequence.size()));
 

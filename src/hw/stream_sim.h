@@ -32,8 +32,11 @@ struct FrameTrace
     i64 me_add_ops = 0;        ///< Measured RFBME ops (functional).
 };
 
-/** Totals over a simulated stream. */
-struct StreamReport
+/**
+ * A simulated stream's frame timeline and modeled totals (distinct
+ * from api/run_report.h's StreamReport, a served stream's counters).
+ */
+struct StreamTimeline
 {
     std::string network;
     std::vector<FrameTrace> frames;
@@ -81,7 +84,7 @@ class StreamSimulator
      * frame; its key/predicted decisions drive the cost accounting.
      * The pipeline is reset first so each simulation starts clean.
      */
-    StreamReport simulate(AmcPipeline &pipeline,
+    StreamTimeline simulate(AmcPipeline &pipeline,
                           const Sequence &sequence) const;
 
     const VpuReport &hw() const { return hw_; }

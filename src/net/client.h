@@ -33,8 +33,8 @@
 
 #include "net/socket.h"
 #include "net/wire.h"
-#include "runtime/stream_executor.h"
 #include "tensor/tensor.h"
+#include "util/digest.h"
 #include "util/mutex.h"
 
 namespace eva2::net {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "eval/metrics.h"
-#include "runtime/stream_executor.h"
+#include "tensor/tensor_ops.h"
 
 namespace eva2 {
 
@@ -40,23 +40,6 @@ StageScheduler::schedule_front()
 i64
 StageScheduler::enqueue(Tensor frame)
 {
-    PendingFrame pending;
-    pending.owned = std::move(frame);
-    return enqueue_impl(std::move(pending));
-}
-
-i64
-StageScheduler::enqueue_ref(const Tensor *frame)
-{
-    require(frame != nullptr, "stage scheduler: null frame");
-    PendingFrame pending;
-    pending.borrowed = frame;
-    return enqueue_impl(std::move(pending));
-}
-
-i64
-StageScheduler::enqueue_impl(PendingFrame frame)
-{
     i64 index;
     bool schedule = false;
     {
@@ -78,7 +61,7 @@ void
 StageScheduler::pump_front()
 {
     for (;;) {
-        PendingFrame frame;
+        Tensor frame;
         i64 index;
         {
             MutexLock lock(mutex_);
@@ -103,15 +86,15 @@ StageScheduler::pump_front()
             index = front_index_++;
         }
         const i64 slot = index % opts_.depth;
-        FrameCtx &ctx = ctx_[static_cast<size_t>(slot)];
-        ctx = FrameCtx{};
+        FrameCommit &ctx = ctx_[static_cast<size_t>(slot)];
+        ctx = FrameCommit{};
         try {
             const FrontResult front = pipeline_->frame_plan().run_front(
-                frame.image(), slot, ScratchArena::for_current_thread(),
+                frame, slot, ScratchArena::for_current_thread(),
                 observer());
-            ctx.is_key = front.is_key;
-            ctx.match_error = front.features.match_error;
-            ctx.me_add_ops = front.me_add_ops;
+            ctx.outcome.is_key = front.is_key;
+            ctx.outcome.match_error = front.features.match_error;
+            ctx.outcome.me_add_ops = front.me_add_ops;
             ctx.resident_bytes = front.resident_bytes;
         } catch (...) {
             ctx.error = std::current_exception();
@@ -138,8 +121,7 @@ void
 StageScheduler::run_suffix(i64 index)
 {
     const i64 slot = index % opts_.depth;
-    const FrameCtx &ctx = ctx_[static_cast<size_t>(slot)];
-    if (ctx.error) {
+    if (ctx_[static_cast<size_t>(slot)].error) {
         finish_frame(index, nullptr, nullptr);
         return;
     }
@@ -163,29 +145,22 @@ void
 StageScheduler::finish_frame(i64 index, const Tensor *out,
                              std::exception_ptr error)
 {
-    const i64 slot = index % opts_.depth;
-    const FrameCtx &ctx = ctx_[static_cast<size_t>(slot)];
-    FrameCommit commit;
-    commit.frame = index;
-    if (ctx.error) {
-        commit.error = ctx.error;
-    } else if (error) {
+    FrameCommit commit =
+        std::move(ctx_[static_cast<size_t>(index % opts_.depth)]);
+    FrameOutcome &outcome = commit.outcome;
+    outcome.frame = index;
+    if (!commit.error) {
         commit.error = error;
+    }
+    if (commit.error) {
+        outcome.failed = true;
     } else {
-        commit.is_key = ctx.is_key;
-        commit.top1 = top1(*out);
-        commit.output_digest = tensor_digest(*out);
-        commit.match_error = ctx.match_error;
-        commit.me_add_ops = ctx.me_add_ops;
-        commit.resident_bytes = ctx.resident_bytes;
-        if (opts_.store_outputs) {
-            commit.output = *out;
-        }
+        outcome.top1 = top1(*out);
+        outcome.output_digest = tensor_digest(*out);
     }
     {
         MutexLock lock(mutex_);
         // The map is keyed by frame index; commits flush in order.
-        // emplace-by-move keeps the (possibly stored) output tensor.
         ready_.emplace(index, std::move(commit));
         if (flushing_) {
             return;

@@ -30,6 +30,7 @@
 #define EVA2_RUNTIME_STAGE_SCHEDULER_H
 
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <vector>
@@ -42,25 +43,32 @@
 namespace eva2 {
 
 /**
- * The completed record of one pipelined frame, delivered to the
- * commit sink in frame order. Mirrors what the serial path's
- * AmcFrameResult carries, minus the tensors (the output digest and
- * top-1 are computed in place on the suffix worker, so a steady-state
- * predicted frame allocates nothing); `output` is populated only when
- * the scheduler was configured to store outputs.
+ * The completed record of one frame: what a Session hands back from
+ * poll()/wait() and pushes to its outcome sink, and what net::Server
+ * turns into an OUTCOME message. Built once per frame on the suffix
+ * worker (the output digest and top-1 are computed in place, so a
+ * steady-state predicted frame allocates nothing).
  */
-struct FrameCommit
+struct FrameOutcome
 {
-    i64 frame = -1; ///< Frame index, as returned by enqueue().
+    i64 frame = -1; ///< Frame number: the ticket's, from enqueue().
     bool is_key = false;
     i64 top1 = -1;          ///< Argmax of the network output.
     u64 output_digest = 0;  ///< Digest of the raw output bits.
     double match_error = 0; ///< RFBME mean error (0 on key-only path).
     i64 me_add_ops = 0;     ///< RFBME arithmetic ops for this frame.
+    /** A stage threw (Session::wait rethrows it); the fields above
+     * then hold only what ran before the throw. */
+    bool failed = false;
+};
+
+/** One frame's outcome, delivered to the commit sink in frame order. */
+struct FrameCommit
+{
+    FrameOutcome outcome;
     /** Stream state bytes after this frame's front half (for the
-     * Engine's resident-set accounting; 0 on error frames). */
+     * Engine's resident-set accounting, which skips failed frames). */
     i64 resident_bytes = 0;
-    Tensor output;          ///< Only with store_outputs.
     std::exception_ptr error; ///< Set when a stage threw.
 };
 
@@ -74,8 +82,6 @@ struct StageSchedulerOptions
      * hide the larger of the two halves.
      */
     i64 depth = 3;
-    /** Copy every output tensor into its FrameCommit. */
-    bool store_outputs = false;
     /**
      * Cross-stream suffix batcher shared with other streams'
      * schedulers, or null to run each suffix as its own task. When
@@ -128,13 +134,6 @@ class StageScheduler : public SuffixBatchClient
      */
     i64 enqueue(Tensor frame);
 
-    /**
-     * Enqueue a borrowed frame: the caller guarantees `*frame`
-     * outlives this frame's commit. The allocation-free ingestion
-     * form for batch runs over already-materialized sequences.
-     */
-    i64 enqueue_ref(const Tensor *frame);
-
     /** Block until every enqueued frame has committed. */
     void drain();
 
@@ -162,31 +161,6 @@ class StageScheduler : public SuffixBatchClient
                         std::exception_ptr error) override;
 
   private:
-    /** Front-half results parked between the front and its suffix. */
-    struct FrameCtx
-    {
-        bool is_key = false;
-        double match_error = 0.0;
-        i64 me_add_ops = 0;
-        i64 resident_bytes = 0;
-        std::exception_ptr error;
-    };
-
-    /** A queued frame: owned (moved in) or borrowed (enqueue_ref). */
-    struct PendingFrame
-    {
-        Tensor owned;
-        const Tensor *borrowed = nullptr;
-
-        const Tensor &
-        image() const
-        {
-            return borrowed != nullptr ? *borrowed : owned;
-        }
-    };
-
-    i64 enqueue_impl(PendingFrame frame);
-
     /** Front strand body: run fronts until out of frames or slots. */
     void pump_front();
 
@@ -194,9 +168,9 @@ class StageScheduler : public SuffixBatchClient
     void run_suffix(i64 index);
 
     /**
-     * Build frame `index`'s commit from its suffix output (or error)
-     * and feed the in-order flush. Shared by the locally-run suffix
-     * path and the batcher completion path.
+     * Complete frame `index`'s commit with its suffix output (or
+     * error) and feed the in-order flush. Shared by the locally-run
+     * suffix path and the batcher completion path.
      */
     void finish_frame(i64 index, const Tensor *out,
                       std::exception_ptr error);
@@ -221,18 +195,20 @@ class StageScheduler : public SuffixBatchClient
 
     mutable Mutex mutex_;
     CondVar cv_;
-    std::deque<PendingFrame> pending_ GUARDED_BY(mutex_);
+    std::deque<Tensor> pending_ GUARDED_BY(mutex_);
     /** Awaiting in-order flush. */
     std::map<i64, FrameCommit> ready_ GUARDED_BY(mutex_);
     /**
-     * Ring, indexed by frame % depth. Deliberately NOT guarded by
-     * mutex_: slot `i` is written only by the serialized front strand
-     * and read only by that frame's single suffix task, and the
-     * handoff happens-before via the pool queue (or the batcher's
-     * submit). The depth window keeps a slot from being reused until
-     * its frame commits. See docs/static_analysis.md.
+     * In-flight frames' commits, indexed by frame % depth: the front
+     * half fills in its results, finish_frame completes the outcome
+     * and moves it into ready_. Deliberately NOT guarded by mutex_:
+     * slot `i` is written only by the serialized front strand and
+     * read only by that frame's single suffix task, and the handoff
+     * happens-before via the pool queue (or the batcher's submit).
+     * The depth window keeps a slot from being reused until its frame
+     * commits. See docs/static_analysis.md.
      */
-    std::vector<FrameCtx> ctx_;
+    std::vector<FrameCommit> ctx_;
     bool front_active_ GUARDED_BY(mutex_) = false;
     /** Parked on a full depth window. */
     bool front_stalled_ GUARDED_BY(mutex_) = false;

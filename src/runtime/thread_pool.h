@@ -4,17 +4,18 @@
  *
  * The pool is deliberately simple — one locked FIFO of type-erased
  * tasks — but is *work-stealing-friendly* in the sense the rest of the
- * runtime relies on: heavyweight consumers (ParallelFor, the
- * StreamExecutor) submit self-scheduling tasks that claim work items
- * from a shared atomic cursor, so idle workers drain whatever remains
- * regardless of which task the queue handed them, and the submitting
- * thread always participates too. That keeps the pool deadlock-free
- * under nesting: a caller never blocks on work that only the pool
- * could run, because it can always run that work itself.
+ * runtime relies on: ParallelFor submits self-scheduling tasks that
+ * claim work items from a shared atomic cursor, so idle workers drain
+ * whatever remains regardless of which task the queue handed them,
+ * and the submitting thread always participates too; the stage
+ * schedulers and the suffix batcher enqueue detached tasks that never
+ * wait on other tasks. That keeps the pool deadlock-free under
+ * nesting: a caller never blocks on work that only the pool could
+ * run.
  *
  * Worker threads are tagged with a thread-local marker so nested
- * parallel constructs (a ConvLayer::forward inside a pipeline that the
- * StreamExecutor is already running on a worker) degrade to serial
+ * parallel constructs (a ConvLayer::forward inside a frame stage that
+ * an Engine session is already running on a worker) degrade to serial
  * inline execution instead of oversubscribing or self-deadlocking.
  */
 #ifndef EVA2_RUNTIME_THREAD_POOL_H

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <limits>
 
+#include "util/digest.h"
+
 namespace eva2 {
 
 Tensor
@@ -258,6 +260,25 @@ bilinear_sample(const Tensor &t, i64 c, double y, double x)
     double top = v00 * (1.0 - fx) + v01 * fx;
     double bot = v10 * (1.0 - fx) + v11 * fx;
     return static_cast<float>(top * (1.0 - fy) + bot * fy);
+}
+
+u64
+tensor_digest(const Tensor &t)
+{
+    u64 hash = kDigestSeed;
+    const Shape s = t.shape();
+    hash = fnv1a(&s.c, sizeof(s.c), hash);
+    hash = fnv1a(&s.h, sizeof(s.h), hash);
+    hash = fnv1a(&s.w, sizeof(s.w), hash);
+    // Hash the value *bits*, so the digest distinguishes -0.0f/0.0f
+    // and any rounding difference a reordered reduction would cause.
+    for (i64 i = 0; i < t.size(); ++i) {
+        u32 bits;
+        const float v = t[i];
+        std::memcpy(&bits, &v, sizeof(bits));
+        hash = fnv1a(&bits, sizeof(bits), hash);
+    }
+    return hash;
 }
 
 } // namespace eva2

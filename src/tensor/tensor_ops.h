@@ -104,6 +104,12 @@ DivergenceReport divergence(const Tensor &a, const Tensor &b);
 bool within_tolerance(const Tensor &a, const Tensor &b, i64 max_ulp,
                       double max_abs);
 
+/**
+ * FNV-1a digest of a tensor's shape and raw float bit patterns
+ * (util/digest.h): equal digests mean bit-identical outputs.
+ */
+u64 tensor_digest(const Tensor &t);
+
 } // namespace eva2
 
 #endif // EVA2_TENSOR_TENSOR_OPS_H

@@ -2,14 +2,17 @@
  * @file
  * Tests for the eva2::Engine serving API: spec parsing and the
  * string-keyed registries, EngineConfig validation, batch runs
- * matching the legacy StreamExecutor bit-for-bit, frame-level Session
- * submission (including incremental feeding split across bursts and
- * concurrent multi-threaded submission), and RunReport structure/JSON.
+ * matching the serial AmcPipeline reference bit-for-bit, frame-level
+ * Session submission (including incremental feeding split across
+ * bursts, run() and submit() mixed on the same sessions, and
+ * concurrent multi-threaded submission), and RunReport
+ * structure/JSON.
  *
  * The digest-identity tests are the API's core contract: no matter
  * how frames reach the engine — one batch, several chunked batches,
  * or frame-by-frame session submission from several threads — the
- * outputs must be bit-identical to a serial legacy run.
+ * outputs must be bit-identical to the serial reference
+ * (reference_rows).
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +24,6 @@
 #include "api/registry.h"
 #include "api/run_report.h"
 #include "cnn/model_zoo.h"
-#include "runtime/stream_executor.h"
 #include "util/json.h"
 #include "video/scenarios.h"
 
@@ -262,31 +264,61 @@ struct EngineFixture
         return c;
     }
 
-    StreamExecutorOptions
-    legacy_options() const
+    /** The serial reference rows for `seqs`. */
+    std::vector<StreamReport>
+    reference(const std::vector<Sequence> &seqs) const
     {
-        StreamExecutorOptions opts;
-        opts.num_threads = 1;
-        opts.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(2);
-        };
-        return opts;
+        return reference_rows(net, config(1), seqs);
     }
 
     u64
-    legacy_digest()
+    reference_digest() const
     {
-        StreamExecutor serial(net, legacy_options());
-        return serial.run(streams).digest();
+        return chain_digest(reference(streams));
+    }
+
+    /**
+     * The serial chain over frames [from, end) of `seq`, with stream
+     * state carried over from frame 0: a later chunk's reference row.
+     */
+    u64
+    reference_tail(const Sequence &seq, i64 from) const
+    {
+        const StreamExecutorOptions opts = config(1).resolve(net);
+        AmcPipeline pipeline(net, opts.make_policy(0), opts.amc);
+        u64 chain = kDigestSeed;
+        for (i64 i = 0; i < seq.size(); ++i) {
+            const AmcFrameResult r = pipeline.process(seq[i].image);
+            if (i >= from) {
+                chain = digest_combine(chain, tensor_digest(r.output));
+            }
+        }
+        return chain;
     }
 };
 
-TEST(Engine, BatchRunMatchesLegacyExecutorBitForBit)
+/** Each stream's frames [begin, end), keeping its name. */
+std::vector<Sequence>
+chunk(const std::vector<Sequence> &streams, i64 begin, i64 end)
+{
+    std::vector<Sequence> out;
+    for (const Sequence &seq : streams) {
+        Sequence part;
+        part.name = seq.name;
+        for (i64 i = begin; i < end; ++i) {
+            part.frames.push_back(seq[i]);
+        }
+        out.push_back(std::move(part));
+    }
+    return out;
+}
+
+TEST(Engine, BatchRunMatchesSerialReferenceBitForBit)
 {
     EngineFixture fx;
     Engine engine(fx.net, fx.config(4));
     const RunReport report = engine.run(fx.streams);
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.reference_digest());
     EXPECT_EQ(report.frames, 3 * 4);
     ASSERT_EQ(report.streams.size(), 3u);
     for (const StreamReport &s : report.streams) {
@@ -306,7 +338,7 @@ TEST(Engine, SessionSubmissionMatchesBatchBitForBit)
         engine.session(seq.name).submit_all(seq);
     }
     const RunReport report = engine.report();
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.reference_digest());
     EXPECT_EQ(report.frames, 3 * 4);
     ASSERT_EQ(report.streams.size(), 3u);
     EXPECT_EQ(report.streams[0].name, fx.streams[0].name);
@@ -333,31 +365,27 @@ TEST(Engine, IncrementalFeedingIsBitIdenticalToOneBatch)
     // session state (stored key frame, RLE buffer, policy state)
     // persists across the split.
     EngineFixture fx;
-    const u64 expected = fx.legacy_digest();
+    const u64 expected = fx.reference_digest();
 
-    // Two engine.run() calls over chunked sequences: per-chunk
-    // digests must match a legacy executor fed the same chunks, and
-    // stream state must persist across the boundary (each run()
-    // restarts the digest chain, so chunks compare chunk-to-chunk).
+    // Two engine.run() calls over chunked sequences: per-chunk rows
+    // must match the serial reference over the same chunk, and stream
+    // state must persist across the boundary (each run() restarts the
+    // digest chain, so chunks compare chunk-to-chunk).
     {
-        std::vector<Sequence> first, second;
-        for (const Sequence &seq : fx.streams) {
-            Sequence a, b;
-            a.name = b.name = seq.name;
-            for (i64 i = 0; i < seq.size(); ++i) {
-                ((i < seq.size() / 2) ? a : b)
-                    .frames.push_back(seq[i]);
-            }
-            first.push_back(std::move(a));
-            second.push_back(std::move(b));
-        }
+        const std::vector<Sequence> first = chunk(fx.streams, 0, 2);
+        const std::vector<Sequence> second = chunk(fx.streams, 2, 4);
         Engine engine(fx.net, fx.config(2));
         const RunReport r1 = engine.run(first);
         const RunReport r2 = engine.run(second);
-        StreamExecutor legacy(fx.net, fx.legacy_options());
-        EXPECT_EQ(r1.digest, legacy.run(first).digest());
-        EXPECT_EQ(r2.digest, legacy.run(second).digest());
+        EXPECT_EQ(r1.digest, chain_digest(fx.reference(first)));
+        ASSERT_EQ(r2.streams.size(), fx.streams.size());
+        for (size_t s = 0; s < fx.streams.size(); ++s) {
+            EXPECT_EQ(r2.streams[s].digest,
+                      fx.reference_tail(fx.streams[s], 2));
+        }
         EXPECT_EQ(r1.frames + r2.frames, 3 * 4);
+        // The sessions' cumulative chains cover both chunks.
+        EXPECT_EQ(engine.report().digest, expected);
     }
 
     // Session path: two submit bursts with a drain between them must
@@ -391,11 +419,8 @@ TEST(Engine, IncrementalFeedingIsBitIdenticalToOneBatch)
 TEST(Engine, PerFrameOutcomesMatchBatchRecords)
 {
     EngineFixture fx;
-    // Batch on one engine...
-    Engine batch_engine(fx.net, fx.config(1));
-    const RunReport batch = batch_engine.run(fx.streams);
-    // ...frame-level on another; every outcome must agree with the
-    // batch FrameRecord-equivalents.
+    // Frame-level submission: every outcome is numbered in order,
+    // and the chain over them matches the serial reference row.
     Engine engine(fx.net, fx.config(2));
     Session &cam = engine.session(fx.streams[0].name);
     const std::vector<FrameTicket> tickets =
@@ -407,7 +432,7 @@ TEST(Engine, PerFrameOutcomesMatchBatchRecords)
         EXPECT_FALSE(outcome.failed);
     }
     EXPECT_EQ(cam.completed(), 4);
-    EXPECT_EQ(cam.report().digest, batch.streams[0].digest);
+    EXPECT_EQ(cam.report().digest, fx.reference(fx.streams)[0].digest);
 }
 
 TEST(Engine, ConcurrentSubmissionFromManyThreads)
@@ -437,7 +462,7 @@ TEST(Engine, ConcurrentSubmissionFromManyThreads)
     const RunReport report = engine.report();
     EXPECT_EQ(submitted.load(), 3 * 4);
     EXPECT_EQ(report.frames, 3 * 4);
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.reference_digest());
 }
 
 TEST(Engine, ResetReproducesFirstRun)
@@ -446,11 +471,88 @@ TEST(Engine, ResetReproducesFirstRun)
     Engine engine(fx.net, fx.config(2));
     const RunReport first = engine.run(fx.streams);
     const RunReport second = engine.run(fx.streams);
-    // State persisted: second run reuses stored key frames.
+    // State persisted: second run reuses stored key frames, and its
+    // rows count only its own frames.
     EXPECT_EQ(second.frames, first.frames);
+    for (const StreamReport &s : second.streams) {
+        EXPECT_EQ(s.frames, 4);
+    }
     engine.reset();
     const RunReport again = engine.run(fx.streams);
+    EXPECT_EQ(first.digest, fx.reference_digest());
     EXPECT_EQ(again.digest, first.digest);
+}
+
+TEST(Engine, RunAndSessionsAreOnePath)
+{
+    // run() feeds the very sessions submit() feeds: half of each
+    // stream through run(), the rest through Session::submit, and
+    // every session's cumulative row is the one-shot serial reference.
+    EngineFixture fx;
+    Engine engine(fx.net, fx.config(2));
+    const RunReport half = engine.run(chunk(fx.streams, 0, 2));
+    EXPECT_EQ(half.frames, 3 * 2);
+    EXPECT_EQ(engine.num_sessions(), 3);
+    for (const Sequence &seq : fx.streams) {
+        Session &cam = engine.session(seq.name);
+        EXPECT_EQ(cam.submitted(), 2);
+        for (i64 i = 2; i < seq.size(); ++i) {
+            cam.submit(seq[i]);
+        }
+    }
+    const RunReport report = engine.report();
+    const std::vector<StreamReport> want = fx.reference(fx.streams);
+    ASSERT_EQ(report.streams.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(report.streams[i].name, want[i].name);
+        EXPECT_EQ(report.streams[i].frames, 4);
+        EXPECT_EQ(report.streams[i].key_frames, want[i].key_frames);
+        EXPECT_EQ(report.streams[i].digest, want[i].digest)
+            << "stream " << want[i].name;
+    }
+    EXPECT_EQ(report.frames, 3 * 4);
+    EXPECT_EQ(report.digest, chain_digest(want));
+}
+
+TEST(Engine, RunRejectsBadInputBeforeSubmittingAnything)
+{
+    EngineFixture fx;
+    Engine engine(fx.net, fx.config(2));
+    (void)engine.run(chunk(fx.streams, 0, 2));
+
+    std::vector<Sequence> bad_shape = chunk(fx.streams, 2, 4);
+    bad_shape[1].frames[1].image = Tensor(1, 8, 8);
+    std::vector<Sequence> duplicate = chunk(fx.streams, 2, 4);
+    duplicate[2].name = duplicate[0].name;
+    std::vector<Sequence> unknown = chunk(fx.streams, 2, 4);
+    unknown[0].name = "never_seen";
+    unknown[1].frames[0].image = Tensor(1, 8, 8);
+    for (const std::vector<Sequence> *bad :
+         {&bad_shape, &duplicate, &unknown}) {
+        EXPECT_THROW(engine.run(*bad), ConfigError);
+        EXPECT_EQ(engine.num_sessions(), 3);
+        for (const Sequence &seq : fx.streams) {
+            EXPECT_EQ(engine.session(seq.name).submitted(), 2);
+        }
+    }
+
+    // A session whose outcomes go to a sink cannot report a run row.
+    Session &cam0 = engine.session(fx.streams[0].name);
+    cam0.set_outcome_sink([](const FrameOutcome &) {});
+    EXPECT_THROW(engine.run(chunk(fx.streams, 2, 4)), ConfigError);
+    cam0.set_outcome_sink(nullptr);
+    EXPECT_EQ(cam0.submitted(), 2);
+
+    // Nothing leaked into the streams: the next run continues them
+    // exactly where the first chunk left off.
+    const RunReport rest = engine.run(chunk(fx.streams, 2, 4));
+    ASSERT_EQ(rest.streams.size(), fx.streams.size());
+    for (size_t s = 0; s < fx.streams.size(); ++s) {
+        EXPECT_EQ(rest.streams[s].frames, 2);
+        EXPECT_EQ(rest.streams[s].digest,
+                  fx.reference_tail(fx.streams[s], 2));
+    }
+    EXPECT_EQ(engine.report().digest, fx.reference_digest());
 }
 
 TEST(Engine, SubmitRejectsBadFrameShapeOnCallerThread)
@@ -503,9 +605,7 @@ TEST(Engine, ForgetOutcomesBoundsMemoryButKeepsTheChain)
     // ...and stats plus the digest chain survived the trim intact.
     cam.drain();
     EXPECT_EQ(cam.completed(), seq.size());
-    StreamExecutor legacy(fx.net, fx.legacy_options());
-    EXPECT_EQ(cam.report().digest,
-              legacy.run({seq}).streams[0].digest);
+    EXPECT_EQ(cam.report().digest, fx.reference(fx.streams)[0].digest);
 }
 
 TEST(ComponentSpec, RejectsNonFiniteNumbers)

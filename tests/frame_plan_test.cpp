@@ -3,15 +3,15 @@
  * Tests for the compiled FramePlan stage graph and its pipelined
  * execution: stage-level parity with the serial AmcPipeline facade,
  * the digest-identity sweep over scenarios x policies x kernels
- * (pipelined vs serial frame execution), and the zero-allocation
- * guarantee of the full ingest-to-commit predicted-frame path.
+ * (pipelined Engine vs the serial AmcPipeline reference), and the
+ * zero-allocation guarantee of the full submit-to-commit
+ * predicted-frame path.
  */
 #include <gtest/gtest.h>
 
-#include "api/registry.h"
+#include "api/engine.h"
 #include "cnn/model_zoo.h"
 #include "runtime/stage_scheduler.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "video/scenarios.h"
 
@@ -118,11 +118,23 @@ TEST(FramePlan, ForcedPathsMatchFacadeForcedPaths)
                 b.frame_plan().run_suffix(0, arena, nullptr));
 }
 
+/** The small_options() shape as an engine config. */
+EngineConfig
+small_config(const std::string &policy, i64 depth, i64 threads)
+{
+    EngineConfig c;
+    c.policy = policy;
+    c.search_radius = 10;
+    c.pipeline_depth = depth;
+    c.num_threads = threads;
+    return c;
+}
+
 /**
  * The acceptance sweep: for every scenario kind in the multi-stream
  * serving set, every key-frame policy, and both CNN kernels, the
- * pipelined FramePlan path must reproduce the legacy serial frame
- * loop's per-stream digests bit for bit.
+ * pipelined Engine must reproduce the serial AmcPipeline reference's
+ * per-stream digests bit for bit.
  */
 TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
 {
@@ -143,40 +155,26 @@ TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
         "adaptive_error:th=0.05,max_gap=6",
         "adaptive_motion:th=60,max_gap=6",
     };
-    const std::vector<ConvKernel> kernels = {ConvKernel::kIm2colGemm,
-                                             ConvKernel::kDirect};
-
     for (const std::string &policy : policies) {
-        for (const ConvKernel kernel : kernels) {
-            auto options = [&](i64 depth, i64 threads) {
-                StreamExecutorOptions o;
-                o.num_threads = threads;
-                o.pipeline_depth = depth;
-                o.amc = small_options();
-                o.amc.plan.conv_kernel = kernel;
-                o.make_policy = [policy](i64) {
-                    return PolicyRegistry::instance().make(policy);
-                };
-                return o;
-            };
-            StreamExecutor serial(net, options(1, 1));
-            StreamExecutor pipelined(net, options(3, 4));
-            const BatchResult a = serial.run(streams);
-            const BatchResult b = pipelined.run(streams);
-            ASSERT_EQ(a.streams.size(), b.streams.size());
-            for (size_t i = 0; i < a.streams.size(); ++i) {
-                EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
-                    << "policy " << policy << ", kernel "
-                    << conv_kernel_name(kernel) << ", stream "
-                    << a.streams[i].name;
-                EXPECT_EQ(a.streams[i].stats.key_frames,
-                          b.streams[i].stats.key_frames);
-                EXPECT_EQ(a.streams[i].me_add_ops,
-                          b.streams[i].me_add_ops);
+        for (const std::string kernel : {"gemm", "direct"}) {
+            EngineConfig config = small_config(policy, 3, 4);
+            config.kernel = kernel;
+            Engine engine(net, config);
+            const RunReport got = engine.run(streams);
+            const std::vector<StreamReport> want =
+                reference_rows(net, config, streams);
+            ASSERT_EQ(got.streams.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got.streams[i].digest, want[i].digest)
+                    << "policy " << policy << ", kernel " << kernel
+                    << ", stream " << want[i].name;
+                EXPECT_EQ(got.streams[i].key_frames,
+                          want[i].key_frames);
+                EXPECT_EQ(got.streams[i].me_add_ops,
+                          want[i].me_add_ops);
             }
-            EXPECT_EQ(a.digest(), b.digest())
-                << "policy " << policy << ", kernel "
-                << conv_kernel_name(kernel);
+            EXPECT_EQ(got.digest, chain_digest(want))
+                << "policy " << policy << ", kernel " << kernel;
         }
     }
 }
@@ -192,27 +190,49 @@ TEST(FramePlanSweep, MemoizationModeMatchesToo)
         classification_test_set(/*seed=*/11, /*num_sequences=*/2,
                                 /*frames_per_sequence=*/4,
                                 /*size=*/96);
-    auto options = [&](i64 depth, i64 threads) {
-        StreamExecutorOptions o;
-        o.num_threads = threads;
-        o.pipeline_depth = depth;
-        o.amc = small_options();
-        o.amc.motion_mode = MotionMode::kMemoization;
-        o.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(3);
-        };
-        return o;
-    };
-    StreamExecutor serial(net, options(1, 1));
-    StreamExecutor pipelined(net, options(3, 4));
-    EXPECT_EQ(serial.run(streams).digest(),
-              pipelined.run(streams).digest());
+    EngineConfig config = small_config("static:interval=3", 3, 4);
+    config.motion = "memoization";
+    Engine engine(net, config);
+    EXPECT_EQ(engine.run(streams).digest,
+              chain_digest(reference_rows(net, config, streams)));
+}
+
+/**
+ * Submit `steady` to a warm inline session and count tensor-buffer
+ * allocations from the first submit to the last commit. The frames
+ * are built before the window opens and moved in, so the count is
+ * the engine's own. Returns the window's allocations; `key_frames`
+ * receives how many of the frames were key frames.
+ */
+u64
+steady_state_allocations(Engine &engine, const Sequence &warmup,
+                         const Sequence &steady, i64 *key_frames)
+{
+    Session &cam = engine.session("cam");
+    cam.submit_all(warmup); // Key frame + slot/workspace growth.
+    const StreamReport before = cam.report();
+    std::vector<Tensor> frames;
+    for (const LabeledFrame &frame : steady.frames) {
+        frames.push_back(frame.image);
+    }
+
+    const u64 start = Tensor::buffer_allocations();
+    for (Tensor &frame : frames) {
+        cam.submit(std::move(frame));
+    }
+    cam.drain();
+    const u64 stop = Tensor::buffer_allocations();
+
+    const StreamReport after = cam.report();
+    EXPECT_EQ(after.frames - before.frames, steady.size());
+    *key_frames = after.key_frames - before.key_frames;
+    return stop - start;
 }
 
 /**
  * The allocation acceptance bar: once warm, a predicted frame's whole
- * journey — ingest, RFBME, motion-field build, warp, suffix, digest,
- * commit — performs zero tensor-buffer allocations.
+ * journey — submit, ingest, RFBME, motion-field build, warp, suffix,
+ * digest, commit — performs zero tensor-buffer allocations.
  */
 TEST(FramePlanAllocation, SteadyStatePredictedFramesAllocateNothing)
 {
@@ -222,29 +242,15 @@ TEST(FramePlanAllocation, SteadyStatePredictedFramesAllocateNothing)
         return o;
     }());
     // A huge static interval: after the first key frame, everything
-    // is a predicted frame.
-    StreamExecutorOptions opts;
-    opts.num_threads = 1; // Inline: the global counter stays ours.
-    opts.pipeline_depth = 3;
-    opts.amc = small_options();
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    StreamExecutor exec(net, opts);
-
-    const std::vector<Sequence> warmup =
-        multi_stream_set(/*seed=*/13, 1, 3, 96);
-    const std::vector<Sequence> steady =
-        multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup); // Key frame + slot/workspace growth.
-
-    const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
-    const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
-        << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(batch.total_frames(), 6);
-    EXPECT_EQ(after - before, 0u)
+    // is a predicted frame. One thread: inline, so the global counter
+    // stays ours.
+    Engine engine(net, small_config("static:interval=1000", 3, 1));
+    i64 keys = -1;
+    const u64 allocations = steady_state_allocations(
+        engine, multi_stream_set(/*seed=*/13, 1, 3, 96)[0],
+        multi_stream_set(/*seed=*/13, 1, 6, 96)[0], &keys);
+    EXPECT_EQ(keys, 0) << "steady-state run unexpectedly re-keyed";
+    EXPECT_EQ(allocations, 0u)
         << "predicted frames allocated tensor buffers";
 }
 
@@ -260,28 +266,15 @@ TEST(FramePlanAllocation, SteadyStateMemoizedFramesAllocateNothing)
         o.input = Shape{1, 96, 96};
         return o;
     }());
-    StreamExecutorOptions opts;
-    opts.num_threads = 1;
-    opts.pipeline_depth = 3;
-    opts.amc = small_options();
-    opts.amc.motion_mode = MotionMode::kMemoization;
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    StreamExecutor exec(net, opts);
-
-    const std::vector<Sequence> warmup =
-        multi_stream_set(/*seed=*/13, 1, 3, 96);
-    const std::vector<Sequence> steady =
-        multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup);
-
-    const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
-    const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
-        << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(after - before, 0u)
+    EngineConfig config = small_config("static:interval=1000", 3, 1);
+    config.motion = "memoization";
+    Engine engine(net, config);
+    i64 keys = -1;
+    const u64 allocations = steady_state_allocations(
+        engine, multi_stream_set(/*seed=*/13, 1, 3, 96)[0],
+        multi_stream_set(/*seed=*/13, 1, 6, 96)[0], &keys);
+    EXPECT_EQ(keys, 0) << "steady-state run unexpectedly re-keyed";
+    EXPECT_EQ(allocations, 0u)
         << "memoized frames deep-copied the stored activation";
 }
 
@@ -300,7 +293,7 @@ TEST(StageScheduler, CommitsInOrderAcrossDepths)
         opts.depth = depth;
         StageScheduler scheduler(
             pipeline, &pool, opts, [&order](FrameCommit commit) {
-                order.push_back(commit.frame);
+                order.push_back(commit.outcome.frame);
             });
         for (const LabeledFrame &frame : streams[0].frames) {
             scheduler.enqueue(frame.image);

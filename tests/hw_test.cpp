@@ -280,7 +280,7 @@ TEST(StreamSim, TimelineAccountingConsistent)
     StreamSimulator sim(spec);
 
     SyntheticVideo video(panning_scene(13, 1.0, 128));
-    const StreamReport report =
+    const StreamTimeline report =
         sim.simulate(pipeline, video.sequence("pan", 9));
 
     ASSERT_EQ(report.frame_count(), 9);
@@ -311,8 +311,8 @@ TEST(StreamSim, ResetBetweenSequences)
     StreamSimulator sim(spec);
     SyntheticVideo video(static_scene(5, 128));
     const Sequence seq = video.sequence("s", 4);
-    const StreamReport a = sim.simulate(pipeline, seq);
-    const StreamReport b = sim.simulate(pipeline, seq);
+    const StreamTimeline a = sim.simulate(pipeline, seq);
+    const StreamTimeline b = sim.simulate(pipeline, seq);
     // Each simulation starts fresh: frame 0 is a key frame both times.
     EXPECT_TRUE(a.frames[0].is_key);
     EXPECT_TRUE(b.frames[0].is_key);

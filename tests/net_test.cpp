@@ -303,18 +303,13 @@ struct NetFixture
     }
 };
 
-/** Digests from feeding the streams through Session::submit directly. */
+/** Per-stream digests of the serial AmcPipeline reference. */
 std::vector<u64>
-inprocess_digests(const Network &net, const EngineConfig &config,
+reference_digests(const Network &net, const EngineConfig &config,
                   const std::vector<Sequence> &streams)
 {
-    Engine engine(net, config);
-    for (const Sequence &seq : streams) {
-        engine.session(seq.name).submit_all(seq);
-    }
     std::vector<u64> out;
-    RunReport report = engine.report();
-    for (const StreamReport &s : report.streams) {
+    for (const StreamReport &s : reference_rows(net, config, streams)) {
         out.push_back(s.digest);
     }
     return out;
@@ -324,7 +319,7 @@ TEST(NetServer, LoopbackDigestsMatchInProcessAcrossConfigs)
 {
     // The serving layer must be invisible to the results: for every
     // policy x kernel (x threading) config, digests over TCP equal
-    // digests from direct submission, bit for bit.
+    // the serial in-process reference, bit for bit.
     NetFixture fx;
     struct Case
     {
@@ -345,7 +340,7 @@ TEST(NetServer, LoopbackDigestsMatchInProcessAcrossConfigs)
         config.num_threads = c.threads;
 
         const std::vector<u64> expected =
-            inprocess_digests(fx.net, config, fx.streams);
+            reference_digests(fx.net, config, fx.streams);
 
         Engine engine(fx.net, config);
         Server server(engine);
@@ -767,6 +762,54 @@ TEST(SessionSink, OutcomeSinkSeesEveryFrameInOrder)
     for (size_t i = 0; i < seen.size(); ++i) {
         EXPECT_EQ(seen[i], static_cast<i64>(i));
     }
+}
+
+TEST(SessionSink, SinkDeliveredOutcomesAreNotRetained)
+{
+    // Regression: every outcome was appended to the session's record
+    // even with a sink installed, and net::Server installs one and
+    // never trims — a served session grew with every frame it served.
+    // With a sink, the sink owns the outcome; the session keeps only
+    // its counters, digest chain, and exact frame numbering.
+    NetFixture fx(1, 4);
+    Engine engine(fx.net, NetFixture::engine_config(2));
+    Session &cam = engine.session("cam");
+    const std::vector<LabeledFrame> &frames = fx.streams[0].frames;
+    const FrameTicket retained = cam.submit(frames[0].image);
+    cam.drain();
+    ASSERT_TRUE(cam.poll(retained).has_value());
+
+    std::atomic<i64> delivered{0};
+    cam.set_outcome_sink(
+        [&delivered](const FrameOutcome &) { delivered.fetch_add(1); });
+    // Installing the sink forgot the retained record.
+    EXPECT_THROW(cam.poll(retained), ConfigError);
+    std::vector<FrameTicket> sunk;
+    for (size_t i = 1; i < frames.size(); ++i) {
+        sunk.push_back(cam.submit(frames[i].image));
+    }
+    engine.flush();
+    EXPECT_EQ(delivered.load(), 3);
+    EXPECT_EQ(cam.completed(), 4);
+    for (const FrameTicket &t : sunk) {
+        EXPECT_THROW(cam.poll(t), ConfigError);
+        EXPECT_THROW(cam.wait(t), ConfigError);
+    }
+    cam.set_outcome_sink(nullptr);
+
+    // Without a sink outcomes are retained again, numbering unbroken,
+    // and the chain over every frame is still the reference's.
+    const FrameTicket after = cam.submit(frames[0].image);
+    EXPECT_EQ(after.frame, 4);
+    EXPECT_EQ(cam.wait(after).frame, 4);
+    Sequence fed = fx.streams[0];
+    fed.frames.push_back(frames[0]);
+    const StreamReport row = cam.report();
+    EXPECT_EQ(row.frames, 5);
+    EXPECT_EQ(row.digest,
+              reference_rows(fx.net, NetFixture::engine_config(1), {fed})
+                  .front()
+                  .digest);
 }
 
 } // namespace

@@ -21,7 +21,6 @@
 #include "cnn/model_zoo.h"
 #include "cnn/pool_layer.h"
 #include "core/amc_pipeline.h"
-#include "runtime/stream_executor.h"
 #include "util/rng.h"
 #include "video/scenarios.h"
 #include "video/synthetic_video.h"

@@ -191,20 +191,14 @@ struct ResidentFixture
         return c;
     }
 
-    /** Digest of each proto stream from a budget-less run. */
+    /** Digest of each proto stream from the serial reference. */
     std::vector<u64>
-    control_digests(const EngineConfig &base) const
+    control_digests(const EngineConfig &config) const
     {
-        EngineConfig c = base;
-        c.memory = "off";
-        Engine engine(net, c);
-        for (const Sequence &seq : protos) {
-            engine.session(seq.name).submit_all(seq);
-        }
-        engine.flush();
         std::vector<u64> digests;
-        for (const Sequence &seq : protos) {
-            digests.push_back(engine.session(seq.name).report().digest);
+        for (const StreamReport &row :
+             reference_rows(net, config, protos)) {
+            digests.push_back(row.digest);
         }
         return digests;
     }
@@ -386,17 +380,41 @@ TEST(ResidentTier, HibernateHydrateDigestIdentityAcrossConfigs)
 
 TEST(ResidentTier, BatchRunHydratesAndMatchesBudgetlessDigest)
 {
-    // Engine::run drives pipelines below the session layer, so it
-    // must hydrate hibernated sessions up front; a batch after a
-    // session-mode phase that hibernated everything still matches.
+    // Engine::run feeds its frames through Session::submit, which
+    // hydrates: sessions the first run's commits hibernated come back
+    // for the second run, and both runs chain into the reference.
     ResidentFixture fx;
-    EngineConfig config = fx.config("budget_mb:1,hibernate=on");
-
-    Engine off(fx.net, fx.config("off"));
-    const u64 expected = off.run(fx.protos).digest;
+    const EngineConfig config = fx.config("budget_mb:1,hibernate=on");
+    const std::vector<u64> expected = fx.control_digests(config);
+    const i64 sessions =
+        (1LL * 1024 * 1024) / fx.probe_session_bytes() + 3;
+    const i64 frames = fx.protos[0].size();
 
     Engine engine(fx.net, config);
-    EXPECT_EQ(engine.run(fx.protos).digest, expected);
+    for (i64 pass = 0; pass < 2; ++pass) {
+        std::vector<Sequence> chunk;
+        for (i64 i = 0; i < sessions; ++i) {
+            Sequence part;
+            part.name = "cam" + std::to_string(i);
+            const Sequence &seq = fx.protos[i % fx.protos.size()];
+            for (i64 f = pass * frames / 2; f < (pass + 1) * frames / 2;
+                 ++f) {
+                part.frames.push_back(seq[f]);
+            }
+            chunk.push_back(std::move(part));
+        }
+        EXPECT_EQ(engine.run(chunk).frames, sessions * frames / 2);
+    }
+    const MemoryStats stats = engine.resident_manager()->stats();
+    EXPECT_GT(stats.hibernations, 0);
+    EXPECT_GT(stats.hydrations, 0);
+    const RunReport report = engine.report();
+    ASSERT_EQ(report.streams.size(), static_cast<size_t>(sessions));
+    for (i64 i = 0; i < sessions; ++i) {
+        EXPECT_EQ(report.streams[static_cast<size_t>(i)].digest,
+                  expected[static_cast<size_t>(i) % fx.protos.size()])
+            << "session " << i;
+    }
 }
 
 TEST(ResidentTier, ResetForgetsTrackedSessions)

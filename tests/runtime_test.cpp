@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the parallel runtime: ThreadPool task completion and
  * exception propagation, ParallelFor edge cases and determinism, and
- * StreamExecutor serial-vs-parallel bit-identical outputs.
+ * the Engine's execution path (sessions over stage schedulers on the
+ * pool) bit-identical to the serial AmcPipeline reference for every
+ * depth and pool size, with failures contained and recoverable.
  *
  * Pools are constructed with explicit thread counts so the parallel
  * code paths are exercised even on single-core CI machines.
@@ -14,9 +16,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "api/engine.h"
+#include "api/registry.h"
 #include "cnn/model_zoo.h"
+#include "eval/metrics.h"
 #include "runtime/parallel_for.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "video/scenarios.h"
 
@@ -161,7 +165,10 @@ TEST(ParallelFor, NestedCallRunsSeriallyWithoutDeadlock)
     EXPECT_EQ(inner_total.load(), 8 * 45);
 }
 
-/** Shared fixture data: a small network and a multi-stream workload. */
+/**
+ * Shared fixture data: a small network, a multi-stream workload, and
+ * the serial AmcPipeline reference rows every engine shape must match.
+ */
 struct StreamFixture
 {
     Network net;
@@ -174,158 +181,177 @@ struct StreamFixture
     {
     }
 
-    StreamExecutorOptions
-    options(i64 threads) const
+    EngineConfig
+    config(i64 threads, i64 depth = 3) const
     {
-        StreamExecutorOptions opts;
-        opts.num_threads = threads;
-        opts.store_outputs = true;
-        opts.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(2);
-        };
-        return opts;
+        EngineConfig c;
+        c.policy = "static:interval=2";
+        c.num_threads = threads;
+        c.pipeline_depth = depth;
+        return c;
+    }
+
+    std::vector<StreamReport>
+    reference() const
+    {
+        return reference_rows(net, config(1), streams);
     }
 };
 
-TEST(StreamExecutor, ParallelOutputsBitIdenticalToSerial)
+/** Row-by-row equality: names, counters, and digest chains. */
+void
+expect_rows_equal(const std::vector<StreamReport> &got,
+                  const std::vector<StreamReport> &want,
+                  const std::string &label)
 {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].name, want[i].name) << label;
+        EXPECT_EQ(got[i].frames, want[i].frames) << label;
+        EXPECT_EQ(got[i].key_frames, want[i].key_frames) << label;
+        EXPECT_EQ(got[i].me_add_ops, want[i].me_add_ops) << label;
+        EXPECT_EQ(got[i].digest, want[i].digest)
+            << label << ", stream " << want[i].name;
+    }
+}
+
+TEST(EngineRun, PerFrameOutcomesMatchTheSerialPipeline)
+{
+    // Frame by frame, not only the chains: every outcome's key flag,
+    // top-1, and output digest equals what AmcPipeline::process
+    // computes for the same frame.
     StreamFixture fx;
-    StreamExecutor serial(fx.net, fx.options(1));
-    StreamExecutor parallel(fx.net, fx.options(4));
-
-    const BatchResult a = serial.run(fx.streams);
-    const BatchResult b = parallel.run(fx.streams);
-
-    ASSERT_EQ(a.streams.size(), fx.streams.size());
-    ASSERT_EQ(b.streams.size(), fx.streams.size());
-    EXPECT_EQ(a.digest(), b.digest());
-    for (size_t i = 0; i < a.streams.size(); ++i) {
-        const StreamResult &sa = a.streams[i];
-        const StreamResult &sb = b.streams[i];
-        EXPECT_EQ(sa.name, sb.name);
-        EXPECT_EQ(sa.stats.frames, sb.stats.frames);
-        EXPECT_EQ(sa.stats.key_frames, sb.stats.key_frames);
-        EXPECT_EQ(sa.me_add_ops, sb.me_add_ops);
-        ASSERT_EQ(sa.frames.size(), sb.frames.size());
-        for (size_t f = 0; f < sa.frames.size(); ++f) {
-            EXPECT_EQ(sa.frames[f].is_key, sb.frames[f].is_key);
-            EXPECT_EQ(sa.frames[f].top1, sb.frames[f].top1);
-            EXPECT_EQ(sa.frames[f].output_digest,
-                      sb.frames[f].output_digest);
-        }
-        ASSERT_EQ(sa.outputs.size(), sb.outputs.size());
-        for (size_t f = 0; f < sa.outputs.size(); ++f) {
-            EXPECT_TRUE(sa.outputs[f] == sb.outputs[f])
-                << "stream " << i << " frame " << f;
+    const EngineConfig config = fx.config(4);
+    const StreamExecutorOptions opts = config.resolve(fx.net);
+    Engine engine(fx.net, config);
+    for (size_t s = 0; s < fx.streams.size(); ++s) {
+        Session &cam = engine.session(fx.streams[s].name);
+        const std::vector<FrameTicket> tickets =
+            cam.submit_all(fx.streams[s]);
+        AmcPipeline serial(fx.net,
+                           opts.make_policy(static_cast<i64>(s)),
+                           opts.amc);
+        for (size_t f = 0; f < tickets.size(); ++f) {
+            const AmcFrameResult want =
+                serial.process(fx.streams[s].frames[f].image);
+            const FrameOutcome got = cam.wait(tickets[f]);
+            EXPECT_EQ(got.frame, static_cast<i64>(f));
+            EXPECT_EQ(got.is_key, want.is_key);
+            EXPECT_EQ(got.top1, top1(want.output));
+            EXPECT_EQ(got.output_digest, tensor_digest(want.output))
+                << "stream " << s << " frame " << f;
+            EXPECT_EQ(got.me_add_ops, want.me_add_ops);
         }
     }
 }
 
-TEST(StreamExecutor, AggregationMatchesPerStreamStats)
+TEST(EngineRun, AggregationMatchesPerStreamRows)
 {
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(2));
-    const BatchResult batch = exec.run(fx.streams);
+    Engine engine(fx.net, fx.config(2));
+    const RunReport report = engine.run(fx.streams);
 
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    EXPECT_EQ(report.frames, 3 * 4);
     i64 keys = 0;
-    for (const StreamResult &s : batch.streams) {
-        EXPECT_EQ(s.stats.frames, 4);
-        EXPECT_GE(s.stats.key_frames, 1); // First frame is always key.
-        keys += s.stats.key_frames;
+    i64 ops = 0;
+    for (const StreamReport &s : report.streams) {
+        EXPECT_EQ(s.frames, 4);
+        EXPECT_GE(s.key_frames, 1); // First frame is always key.
+        keys += s.key_frames;
+        ops += s.me_add_ops;
     }
-    EXPECT_EQ(batch.total_key_frames(), keys);
-    EXPECT_GT(batch.key_fraction(), 0.0);
-    EXPECT_LE(batch.key_fraction(), 1.0);
-    EXPECT_EQ(batch.labels().size(), static_cast<size_t>(12));
-    EXPECT_GT(batch.wall_ms, 0.0);
-    EXPECT_GT(batch.frames_per_second(), 0.0);
-
-    const double acc = batch_top1_accuracy(batch, fx.streams);
-    EXPECT_GE(acc, 0.0);
-    EXPECT_LE(acc, 1.0);
+    EXPECT_EQ(report.key_frames, keys);
+    EXPECT_EQ(report.me_add_ops, ops);
+    EXPECT_EQ(report.digest, chain_digest(report.streams));
+    EXPECT_GT(report.key_fraction(), 0.0);
+    EXPECT_LE(report.key_fraction(), 1.0);
+    EXPECT_GT(report.wall_ms, 0.0);
+    EXPECT_GT(report.frames_per_second(), 0.0);
 }
 
-TEST(StreamExecutor, StatePersistsAcrossRunsAndResets)
+/**
+ * Arms one failure: the next frame any "test_fail_once" policy is
+ * consulted on throws inside the front half, as an internal error
+ * would, and every later consultation keys like every_frame.
+ */
+std::atomic<bool> g_fail_next{false};
+
+class FailOncePolicy : public KeyFramePolicy
 {
-    StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(1));
-    const BatchResult first = exec.run(fx.streams);
-    // Pipelines keep their key frames, so a second pass over the same
-    // frames needs no initial key frame; stats report only the run's
-    // delta.
-    const BatchResult second = exec.run(fx.streams);
-    EXPECT_EQ(first.total_frames(), second.total_frames());
-    for (const StreamResult &s : second.streams) {
-        EXPECT_EQ(s.stats.frames, 4);
+  public:
+    bool
+    is_key_frame(const FrameFeatures &) override
+    {
+        if (g_fail_next.exchange(false)) {
+            throw std::runtime_error("injected policy failure");
+        }
+        return true;
     }
 
-    // After a reset the executor reproduces the first run exactly.
-    exec.reset_streams();
-    const BatchResult again = exec.run(fx.streams);
-    EXPECT_EQ(first.digest(), again.digest());
-}
+    std::string name() const override { return "test_fail_once"; }
+};
 
-TEST(StreamExecutor, StreamFailurePropagatesWithoutCrashing)
+/**
+ * A stage that throws mid-run must surface from run() only after every
+ * in-flight frame finished (no use-after-free of frames or pipelines),
+ * poison just its stream until reset(), and leave the engine usable:
+ * after the reset the same run reproduces the reference exactly.
+ */
+void
+check_failure_recovery(i64 threads, i64 depth)
 {
+    PolicyRegistry::instance().add(
+        "test_fail_once", [](const ComponentSpec &spec) {
+            spec.allow_only({});
+            return std::make_unique<FailOncePolicy>();
+        });
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(4));
-    // A stream whose frames don't match the network input makes its
-    // pipeline throw; run() must surface that after every in-flight
-    // stream task has finished (no use-after-free of streams or
-    // pipelines), and the executor must stay usable.
-    std::vector<Sequence> bad = fx.streams;
-    bad[1].frames[0].image = Tensor(1, 8, 8);
-    EXPECT_THROW(exec.run(bad), ConfigError);
-    exec.reset_streams();
-    const BatchResult batch = exec.run(fx.streams);
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    EngineConfig config = fx.config(threads, depth);
+    config.policy = "test_fail_once";
+    Engine engine(fx.net, config);
+    g_fail_next.store(true);
+    EXPECT_THROW(engine.run(fx.streams), std::runtime_error);
+    EXPECT_FALSE(g_fail_next.load()) << "the failure never fired";
+    // Sticky until reset: the failed stream's chain is broken.
+    EXPECT_THROW(engine.flush(), std::runtime_error);
+    engine.reset();
+    const RunReport report = engine.run(fx.streams);
+    EXPECT_EQ(report.frames, 3 * 4);
+    expect_rows_equal(report.streams,
+                      reference_rows(fx.net, config, fx.streams),
+                      "after recovery");
 }
 
-TEST(StreamExecutor, PipelinedFramesBitIdenticalAcrossDepthsAndPools)
+TEST(EngineRun, StreamFailurePropagatesWithoutCrashing)
 {
-    // The stage scheduler's pipelined execution (fronts serialized,
-    // suffixes fanned out, commits in order) must be bit-identical
-    // to the legacy serial frame loop for every depth/pool shape.
+    check_failure_recovery(/*threads=*/4, /*depth=*/1);
+}
+
+TEST(EngineRun, PipelinedFailurePropagatesAndEngineRecovers)
+{
+    check_failure_recovery(/*threads=*/4, /*depth=*/3);
+}
+
+TEST(EngineRun, BitIdenticalAcrossDepthsAndPools)
+{
+    // Every execution shape — frames pipelined across stages (fronts
+    // serialized, suffixes fanned out, commits in order) or not, on
+    // any pool size — must be bit-identical to the serial reference.
     // Run under TSan in CI, this is also the data-race gate for the
     // scheduler's synchronization.
     StreamFixture fx;
-    StreamExecutorOptions serial_opts = fx.options(1);
-    serial_opts.pipeline_depth = 1;
-    StreamExecutor serial(fx.net, serial_opts);
-    const BatchResult reference = serial.run(fx.streams);
-
-    for (const i64 depth : {2, 3, 5}) {
+    const std::vector<StreamReport> want = fx.reference();
+    for (const i64 depth : {1, 2, 3, 5}) {
         for (const i64 threads : {1, 2, 4}) {
-            StreamExecutorOptions opts = fx.options(threads);
-            opts.pipeline_depth = depth;
-            StreamExecutor pipelined(fx.net, opts);
-            const BatchResult got = pipelined.run(fx.streams);
-            EXPECT_EQ(got.digest(), reference.digest())
-                << "depth " << depth << ", threads " << threads;
-            ASSERT_EQ(got.streams.size(), reference.streams.size());
-            for (size_t i = 0; i < got.streams.size(); ++i) {
-                EXPECT_EQ(got.streams[i].frames.size(),
-                          reference.streams[i].frames.size());
-                EXPECT_EQ(got.streams[i].me_add_ops,
-                          reference.streams[i].me_add_ops);
-            }
+            Engine engine(fx.net, fx.config(threads, depth));
+            const RunReport got = engine.run(fx.streams);
+            const std::string label = "depth " + std::to_string(depth) +
+                                      ", threads " +
+                                      std::to_string(threads);
+            expect_rows_equal(got.streams, want, label);
+            EXPECT_EQ(got.digest, chain_digest(want)) << label;
         }
     }
-}
-
-TEST(StreamExecutor, PipelinedFailurePropagatesAndExecutorRecovers)
-{
-    StreamFixture fx;
-    StreamExecutorOptions opts = fx.options(4);
-    opts.pipeline_depth = 3;
-    StreamExecutor exec(fx.net, opts);
-    std::vector<Sequence> bad = fx.streams;
-    bad[1].frames[0].image = Tensor(1, 8, 8);
-    EXPECT_THROW(exec.run(bad), ConfigError);
-    exec.reset_streams();
-    const BatchResult batch = exec.run(fx.streams);
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
 }
 
 TEST(TensorDigest, SensitiveToValuesAndShape)

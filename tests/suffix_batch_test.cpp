@@ -6,8 +6,8 @@
  * allocations, the SuffixBatcher's formation policy (full batches,
  * partial-batch delay dispatch, inline batch-of-1), the batch=auto
  * Engine spec, and the acceptance sweep: per-stream digests with
- * batching enabled are bit-identical to unbatched execution across
- * scenarios x policies x kernels.
+ * batching enabled are bit-identical to the serial AmcPipeline
+ * reference across scenarios x policies x kernels.
  */
 #include <gtest/gtest.h>
 
@@ -16,9 +16,7 @@
 #include <thread>
 
 #include "api/engine.h"
-#include "api/registry.h"
 #include "cnn/model_zoo.h"
-#include "runtime/stream_executor.h"
 #include "runtime/suffix_batcher.h"
 #include "util/rng.h"
 #include "video/scenarios.h"
@@ -302,19 +300,24 @@ TEST(SuffixBatcher, InlineModeRunsBatchOfOne)
 }
 
 // --------------------------------------------------------------------
-// Executor-level digest identity
+// Engine-level digest identity
 
-AmcOptions
-small_amc()
+/** A batch=auto engine config on the small search radius. */
+EngineConfig
+batched_config(const std::string &policy, i64 threads, i64 depth)
 {
-    AmcOptions opts;
-    opts.search_radius = 10;
-    return opts;
+    EngineConfig c;
+    c.policy = policy;
+    c.search_radius = 10;
+    c.num_threads = threads;
+    c.pipeline_depth = depth;
+    c.batch = "auto:max=4,delay_us=200";
+    return c;
 }
 
 /**
  * The acceptance sweep: per-stream digests with suffix batching are
- * bit-identical to unbatched execution for every scenario kind in
+ * bit-identical to the serial reference for every scenario kind in
  * the serving set, every policy, and both CNN kernels.
  */
 TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
@@ -328,38 +331,21 @@ TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
         "static:interval=3",
         "adaptive_error:th=0.05,max_gap=6",
     };
-    const std::vector<ConvKernel> kernels = {ConvKernel::kIm2colGemm,
-                                             ConvKernel::kDirect};
     for (const std::string &policy : policies) {
-        for (const ConvKernel kernel : kernels) {
-            auto options = [&](bool batch, i64 threads) {
-                StreamExecutorOptions o;
-                o.num_threads = threads;
-                o.pipeline_depth = 3;
-                o.amc = small_amc();
-                o.amc.plan.conv_kernel = kernel;
-                o.make_policy = [policy](i64) {
-                    return PolicyRegistry::instance().make(policy);
-                };
-                o.suffix_batch.enabled = batch;
-                o.suffix_batch.max_batch = 4;
-                o.suffix_batch.max_delay_us = 200;
-                return o;
-            };
-            StreamExecutor serial(net, options(false, 1));
-            StreamExecutor batched(net, options(true, 4));
-            const BatchResult a = serial.run(streams);
-            const BatchResult b = batched.run(streams);
-            ASSERT_EQ(a.streams.size(), b.streams.size());
-            for (size_t i = 0; i < a.streams.size(); ++i) {
-                EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
-                    << "policy " << policy << ", kernel "
-                    << conv_kernel_name(kernel) << ", stream "
-                    << a.streams[i].name;
+        for (const std::string kernel : {"gemm", "direct"}) {
+            EngineConfig config = batched_config(policy, 4, 3);
+            config.kernel = kernel;
+            Engine batched(net, config);
+            const RunReport got = batched.run(streams);
+            const std::vector<StreamReport> want =
+                reference_rows(net, config, streams);
+            ASSERT_EQ(got.streams.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got.streams[i].digest, want[i].digest)
+                    << "policy " << policy << ", kernel " << kernel
+                    << ", stream " << want[i].name;
             }
-            const SuffixBatchStats stats =
-                batched.suffix_batch_stats();
-            EXPECT_EQ(stats.items,
+            EXPECT_EQ(got.batching.items,
                       static_cast<i64>(streams.size()) * 4)
                 << "every suffix must route through the batcher";
         }
@@ -373,21 +359,12 @@ TEST(SuffixBatchSweep, DepthOneStillBatchesAcrossStreams)
     const std::vector<Sequence> streams =
         multi_stream_set(/*seed=*/9, /*num_streams=*/4,
                          /*frames_per_stream=*/3, /*size=*/96);
-    auto options = [&](bool batch, i64 threads, i64 depth) {
-        StreamExecutorOptions o;
-        o.num_threads = threads;
-        o.pipeline_depth = depth;
-        o.amc = small_amc();
-        o.suffix_batch.enabled = batch;
-        o.suffix_batch.max_batch = 4;
-        return o;
-    };
-    StreamExecutor serial(net, options(false, 1, 1));
-    StreamExecutor batched(net, options(true, 4, 1));
-    EXPECT_EQ(serial.run(streams).digest(),
-              batched.run(streams).digest());
-    EXPECT_EQ(batched.suffix_batch_stats().items,
-              static_cast<i64>(streams.size()) * 3);
+    const EngineConfig config = batched_config("every_frame", 4, 1);
+    Engine batched(net, config);
+    const RunReport got = batched.run(streams);
+    EXPECT_EQ(got.digest,
+              chain_digest(reference_rows(net, config, streams)));
+    EXPECT_EQ(got.batching.items, static_cast<i64>(streams.size()) * 3);
 }
 
 // --------------------------------------------------------------------
@@ -527,36 +504,36 @@ TEST(EngineBatch, ResetThenResubmitWorks)
 /**
  * The allocation half of the acceptance bar, end to end: with
  * batching enabled, steady-state predicted frames still perform zero
- * tensor-buffer allocations from ingest through batched suffix to
+ * tensor-buffer allocations from submit through batched suffix to
  * commit.
  */
 TEST(EngineBatch, SteadyStatePredictedFramesAllocateNothing)
 {
     Network net = small_net();
-    StreamExecutorOptions opts;
-    opts.num_threads = 1; // Inline: the global counter stays ours.
-    opts.pipeline_depth = 3;
-    opts.amc = small_amc();
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    opts.suffix_batch.enabled = true;
-    opts.suffix_batch.max_batch = 4;
-    StreamExecutor exec(net, opts);
-
-    const std::vector<Sequence> warmup =
-        multi_stream_set(/*seed=*/13, 1, 3, 96);
+    // One thread: inline, so the global counter stays ours.
+    Engine engine(net, batched_config("static:interval=1000", 1, 3));
+    Session &cam = engine.session("cam");
+    cam.submit_all(multi_stream_set(/*seed=*/13, 1, 3, 96)[0]);
+    const StreamReport before = cam.report();
     const std::vector<Sequence> steady =
         multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup); // Key frame + slot/arena growth.
+    std::vector<Tensor> frames;
+    for (const LabeledFrame &frame : steady[0].frames) {
+        frames.push_back(frame.image);
+    }
 
-    const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
-    const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
+    const u64 start = Tensor::buffer_allocations();
+    for (Tensor &frame : frames) {
+        cam.submit(std::move(frame));
+    }
+    cam.drain();
+    const u64 stop = Tensor::buffer_allocations();
+
+    const StreamReport after = cam.report();
+    EXPECT_EQ(after.key_frames, before.key_frames)
         << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(batch.total_frames(), 6);
-    EXPECT_EQ(after - before, 0u)
+    EXPECT_EQ(after.frames - before.frames, 6);
+    EXPECT_EQ(stop - start, 0u)
         << "batched predicted frames allocated tensor buffers";
 }
 
