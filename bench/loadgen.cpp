@@ -19,7 +19,8 @@
  *                the excess, and every admitted frame completes.
  *   sessions     admission at scale: 1k+ concurrent sessions across
  *                8 connections, one frame each, bounded memory
- *                (VmHWM is reported), zero lost frames.
+ *                (VmHWM is reported), zero lost frames. Frames shed
+ *                for overload are resent (bounded) and counted.
  *   drain        frames in flight when stop() lands: the graceful
  *                drain must deliver every admitted frame's OUTCOME
  *                (lost_frames is asserted zero by CI).
@@ -389,10 +390,22 @@ struct SessionsResult
     i64 target = 0;
     i64 accepted = 0;
     i64 completed = 0;
+    i64 overload_sheds = 0; ///< SHED(overload) answers received.
     i64 vm_hwm_kb = 0;
 };
 
-/** 1k+ concurrent sessions, one frame each, across 8 connections. */
+/** Sends of one frame before a SHED(overload) counts as lost. */
+constexpr i64 kMaxSendAttempts = 8;
+
+/**
+ * 1k+ concurrent sessions, one frame each, across 8 connections. The
+ * sessions are priority 0, which the server sheds once a quarter of
+ * max_inflight is in flight, so the opening burst can draw
+ * SHED(overload). Such a frame never entered the engine and is sent
+ * again after a short back-off, up to kMaxSendAttempts sends in all;
+ * any other shed reason, a failed frame, or running out of attempts
+ * leaves it uncompleted and fails the phase.
+ */
 SessionsResult
 run_sessions_phase(const Network &net,
                    const std::vector<Sequence> &streams, i64 target)
@@ -411,7 +424,7 @@ run_sessions_phase(const Network &net,
     server.start();
     const i64 conns = 8;
     const i64 per_conn = (target + conns - 1) / conns;
-    std::atomic<i64> accepted{0}, completed{0};
+    std::atomic<i64> accepted{0}, completed{0}, overload_sheds{0};
     std::vector<std::thread> threads;
     for (i64 c = 0; c < conns; ++c) {
         threads.emplace_back([&, c]() {
@@ -433,7 +446,20 @@ run_sessions_phase(const Network &net,
                 seqs.push_back(h->submit(img));
             }
             for (size_t i = 0; i < handles.size(); ++i) {
-                const net::NetOutcome out = handles[i]->wait(seqs[i]);
+                net::NetOutcome out = handles[i]->wait(seqs[i]);
+                i64 sends = 1;
+                while (out.shed &&
+                       out.shed_reason == net::ShedReason::kOverload) {
+                    overload_sheds.fetch_add(1);
+                    if (sends == kMaxSendAttempts) {
+                        break;
+                    }
+                    // Back off so in-flight frames can drain first.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(sends));
+                    out = handles[i]->wait(handles[i]->submit(img));
+                    ++sends;
+                }
                 if (!out.shed && !out.failed) {
                     completed.fetch_add(1);
                 }
@@ -447,6 +473,7 @@ run_sessions_phase(const Network &net,
     server.stop();
     result.accepted = accepted.load();
     result.completed = completed.load();
+    result.overload_sheds = overload_sheds.load();
     result.vm_hwm_kb = vm_hwm_kb();
     return result;
 }
@@ -725,7 +752,8 @@ main(int argc, char **argv)
     const SessionsResult mass =
         run_sessions_phase(net, streams, session_target);
     std::cout << "    accepted " << mass.accepted << "/" << mass.target
-              << ", completed " << mass.completed << ", VmHWM "
+              << ", completed " << mass.completed << " ("
+              << mass.overload_sheds << " SHED(overload) answers), VmHWM "
               << mass.vm_hwm_kb << " kB\n";
 
     std::cout << "  [drain] stop() with frames in flight...\n";
@@ -828,6 +856,7 @@ main(int argc, char **argv)
         w.member("mass_sessions_target", mass.target);
         w.member("mass_sessions_accepted", mass.accepted);
         w.member("mass_sessions_completed", mass.completed);
+        w.member("mass_overload_sheds", mass.overload_sheds);
         w.member("vm_hwm_kb", mass.vm_hwm_kb);
         w.member("drain_admitted", drain.admitted);
         w.member("drain_delivered", drain.delivered);

@@ -477,11 +477,21 @@ FramePlan::run_front(const Tensor &frame, i64 slot,
         return result;
     }
     ++frames_since_key_;
-    motion_stage(frame, obs);
     FrameFeatures features;
+    features.frames_since_key = frames_since_key_;
+    if (policy_->key_due(frames_since_key_)) {
+        // Schedule-forced key frame: a key frame never reads the
+        // motion field, so RFBME is skipped and the motion features
+        // and me_add_ops read 0, as on the first frame. key_due's
+        // contract makes this the decision is_key_frame would take.
+        FrontResult result = key_stage(frame, slot, exec_arena, obs);
+        result.features = features;
+        result.resident_bytes = resident_bytes();
+        return result;
+    }
+    motion_stage(frame, obs);
     features.match_error = me_.mean_error;
     features.motion_magnitude = me_.field.total_magnitude();
-    features.frames_since_key = frames_since_key_;
     bool is_key;
     {
         StageScope timer(obs, AmcStage::kPolicy);

@@ -8,13 +8,16 @@
  * per stream from the network and AmcOptions and fixes everything a
  * frame's journey needs ahead of time:
  *
- *   ingest ─► motion estimation ─► motion-field build ─► policy ─┐
- *     │                                                          │
- *     │            ┌──── predicted branch: warp ◄────────────────┤
- *     │            │                                             │
- *     │            │    ┌ key branch: prefix ─► encode ◄─────────┘
- *     ▼            ▼    ▼
- *   (first frame) suffix ExecutionPlan ─► commit
+ *   ingest ─┬─ first frame ──────────────────────┐
+ *           ├─ key due (schedule) ───────────────┤
+ *           └─ motion estimation ─► policy ─┬────┤
+ *                                           │    ▼
+ *                    predicted branch ◄─────┘    key branch:
+ *                    motion-field build          prefix ─► encode
+ *                    ─► warp ─┐                              │
+ *                             ▼                              │
+ *                    suffix ExecutionPlan ◄──────────────────┘
+ *                    ─► commit
  *
  * with every inter-stage buffer pre-assigned: the suffix input of
  * each in-flight frame lands in a slot of the plan's own slot-ring
@@ -22,6 +25,12 @@
  * fitted motion field and warped activation are written in place
  * (`*_into` forms), so a steady-state predicted frame performs zero
  * heap allocations from ingest to commit.
+ *
+ * Motion estimation runs only when its result can matter: the first
+ * frame has no key pixels to search against, and a key frame the
+ * policy's schedule forces (a static interval, an adaptive max_gap;
+ * see KeyFramePolicy) never reads the motion field, so both go
+ * straight to the key branch with zero motion features.
  *
  * Execution splits into two halves with one carried dependency:
  *
@@ -138,7 +147,9 @@ struct AmcStats
 struct FrontResult
 {
     bool is_key = false;
-    FrameFeatures features;   ///< Motion features seen by the policy.
+    /** Motion features seen by the policy; match error and motion
+     * magnitude read 0 when RFBME did not run. */
+    FrameFeatures features;
     i64 me_add_ops = 0;       ///< RFBME arithmetic ops for this frame.
     i64 resident_bytes = 0;   ///< Stream state bytes after this frame.
 };
@@ -175,7 +186,10 @@ class FramePlan
     /**
      * Front half of one frame, policy-driven: ingest → motion
      * estimation → policy → key branch (prefix + encode) or
-     * predicted branch (motion-field build + warp). Writes the
+     * predicted branch (motion-field build + warp). The first frame
+     * and keys the policy's schedule forces skip motion estimation
+     * and the policy call: they take the key branch and report zero
+     * match error, motion magnitude and me_add_ops. Writes the
      * suffix input activation into ring slot `slot`. Touches all
      * carried stream state; calls must be serialized in frame order.
      *

@@ -10,7 +10,13 @@ StaticRatePolicy::StaticRatePolicy(i64 interval) : interval_(interval)
 bool
 StaticRatePolicy::is_key_frame(const FrameFeatures &features)
 {
-    return features.frames_since_key >= interval_;
+    return key_due(features.frames_since_key);
+}
+
+bool
+StaticRatePolicy::key_due(i64 frames_since_key) const
+{
+    return frames_since_key >= interval_;
 }
 
 std::string
@@ -23,15 +29,20 @@ BlockErrorPolicy::BlockErrorPolicy(double threshold, i64 max_gap)
     : threshold_(threshold), max_gap_(max_gap)
 {
     require(threshold >= 0.0, "block error policy: negative threshold");
+    require(max_gap >= 0, "block error policy: negative max_gap");
 }
 
 bool
 BlockErrorPolicy::is_key_frame(const FrameFeatures &features)
 {
-    if (max_gap_ > 0 && features.frames_since_key >= max_gap_) {
-        return true;
-    }
-    return features.match_error > threshold_;
+    return key_due(features.frames_since_key) ||
+           features.match_error > threshold_;
+}
+
+bool
+BlockErrorPolicy::key_due(i64 frames_since_key) const
+{
+    return max_gap_ > 0 && frames_since_key >= max_gap_;
 }
 
 std::string
@@ -44,15 +55,20 @@ MotionMagnitudePolicy::MotionMagnitudePolicy(double threshold, i64 max_gap)
     : threshold_(threshold), max_gap_(max_gap)
 {
     require(threshold >= 0.0, "motion policy: negative threshold");
+    require(max_gap >= 0, "motion policy: negative max_gap");
 }
 
 bool
 MotionMagnitudePolicy::is_key_frame(const FrameFeatures &features)
 {
-    if (max_gap_ > 0 && features.frames_since_key >= max_gap_) {
-        return true;
-    }
-    return features.motion_magnitude > threshold_;
+    return key_due(features.frames_since_key) ||
+           features.motion_magnitude > threshold_;
+}
+
+bool
+MotionMagnitudePolicy::key_due(i64 frames_since_key) const
+{
+    return max_gap_ > 0 && frames_since_key >= max_gap_;
 }
 
 std::string

@@ -4,9 +4,15 @@
  *
  * The key-frame decision is AMC's accuracy/efficiency knob. The paper
  * implements a static rate plus two adaptive features measurable from
- * the motion-estimation pass EVA2 runs anyway: aggregate block match
- * error (chosen for the hardware, since it is a free byproduct of
- * RFBME) and total motion magnitude. Section IV-E5 sweeps both.
+ * the motion-estimation pass: aggregate block match error (chosen for
+ * the hardware, since it is a free byproduct of RFBME) and total
+ * motion magnitude. Section IV-E5 sweeps both.
+ *
+ * In hardware the features are free; in software RFBME is a real cost.
+ * A policy therefore also says, through key_due(), when the schedule
+ * alone forces a key frame (a static interval, an adaptive max_gap),
+ * and the frame path skips motion estimation for such frames: a key
+ * frame never reads the motion field.
  */
 #ifndef EVA2_CORE_KEYFRAME_POLICY_H
 #define EVA2_CORE_KEYFRAME_POLICY_H
@@ -42,6 +48,18 @@ class KeyFramePolicy
      */
     virtual bool is_key_frame(const FrameFeatures &features) = 0;
 
+    /**
+     * True when the schedule alone makes the next frame a key frame,
+     * `frames_since_key` frames after the last one, whatever motion
+     * estimation would measure. The frame path then skips RFBME and
+     * does not call is_key_frame(). Contract: key_due(n) implies
+     * is_key_frame() returns true for any features with
+     * frames_since_key == n. The default (false) consults
+     * is_key_frame() with real RFBME features on every frame after
+     * the first.
+     */
+    virtual bool key_due(i64 /* frames_since_key */) const { return false; }
+
     /** Reset internal state for a new stream. */
     virtual void reset() {}
 
@@ -57,6 +75,7 @@ class StaticRatePolicy : public KeyFramePolicy
     explicit StaticRatePolicy(i64 interval);
 
     bool is_key_frame(const FrameFeatures &features) override;
+    bool key_due(i64 frames_since_key) const override;
     std::string name() const override;
 
     i64 interval() const { return interval_; }
@@ -76,11 +95,12 @@ class BlockErrorPolicy : public KeyFramePolicy
     /**
      * @param threshold Mean match error above which a key frame runs.
      * @param max_gap   Force a key frame after this many predictions
-     *                  (0 disables the cap).
+     *                  (0 disables the cap; negative throws).
      */
     explicit BlockErrorPolicy(double threshold, i64 max_gap = 0);
 
     bool is_key_frame(const FrameFeatures &features) override;
+    bool key_due(i64 frames_since_key) const override;
     std::string name() const override;
 
   private:
@@ -95,9 +115,11 @@ class BlockErrorPolicy : public KeyFramePolicy
 class MotionMagnitudePolicy : public KeyFramePolicy
 {
   public:
+    /** Parameters as for BlockErrorPolicy. */
     explicit MotionMagnitudePolicy(double threshold, i64 max_gap = 0);
 
     bool is_key_frame(const FrameFeatures &features) override;
+    bool key_due(i64 frames_since_key) const override;
     std::string name() const override;
 
   private:

@@ -148,9 +148,12 @@ Eva2Model::predicted_frame_cost() const
 HwCost
 Eva2Model::key_frame_cost() const
 {
-    // Key frames still pay admission and motion estimation (the
-    // adaptive policy's features come from RFBME) plus the activation
-    // store.
+    // Key frames still pay admission and motion estimation plus the
+    // activation store. This models the paper's adaptive-policy
+    // hardware, whose key decision reads RFBME's match error on every
+    // frame; the software frame path (core/frame_plan) skips RFBME on
+    // keys the policy's schedule forces, but the model keeps charging
+    // it on every key frame, as the hardware does.
     return frame_admission_cost() + motion_estimation_cost() +
            activation_store_cost();
 }

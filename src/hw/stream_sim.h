@@ -27,7 +27,9 @@ struct FrameTrace
 {
     i64 index = 0;
     bool is_key = false;
-    double match_error = 0.0;  ///< RFBME feature the policy saw.
+    /** RFBME feature the policy saw; 0 when RFBME did not run: the
+     * first frame and schedule-forced keys. */
+    double match_error = 0.0;
     HwCost cost;               ///< Modeled whole-VPU cost.
     i64 me_add_ops = 0;        ///< Measured RFBME ops (functional).
 };

@@ -49,6 +49,8 @@ struct NetOutcome
     bool failed = false;
     i64 top1 = -1;
     u64 output_digest = 0;
+    /** RFBME mean error; 0 when RFBME did not run: the first frame
+     * and schedule-forced keys. */
     double match_error = 0.0;
 };
 

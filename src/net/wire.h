@@ -336,6 +336,8 @@ struct OutcomeMsg
     u32 credit = 0; ///< Frames the sender may now have in flight.
     i64 top1 = -1;
     u64 output_digest = 0;
+    /** RFBME mean error; 0 when RFBME did not run: the first frame
+     * and schedule-forced keys. */
     double match_error = 0.0;
 };
 

@@ -55,7 +55,9 @@ struct FrameOutcome
     bool is_key = false;
     i64 top1 = -1;          ///< Argmax of the network output.
     u64 output_digest = 0;  ///< Digest of the raw output bits.
-    double match_error = 0; ///< RFBME mean error (0 on key-only path).
+    /** RFBME mean error; 0 when RFBME did not run: the first frame
+     * and schedule-forced keys. */
+    double match_error = 0;
     i64 me_add_ops = 0;     ///< RFBME arithmetic ops for this frame.
     /** A stage threw (Session::wait rethrows it); the fields above
      * then hold only what ran before the throw. */

@@ -621,6 +621,17 @@ TEST(ComponentSpec, RejectsNonFiniteNumbers)
     EXPECT_THROW(Engine(fx.net, config), ConfigError);
 }
 
+TEST(ComponentSpec, RejectsNegativeMaxGap)
+{
+    // A negative cap used to be accepted and silently mean "no cap".
+    EngineFixture fx;
+    EngineConfig config;
+    config.policy = "adaptive_error:th=0.05,max_gap=-10";
+    EXPECT_THROW(Engine(fx.net, config), ConfigError);
+    config.policy = "adaptive_motion:th=60,max_gap=-10";
+    EXPECT_THROW(Engine(fx.net, config), ConfigError);
+}
+
 TEST(Engine, SessionsAreStableAndNamed)
 {
     EngineFixture fx;
@@ -715,7 +726,9 @@ TEST(RunReport, CollectsStageTimings)
     // 3 streams x 4 frames, static:interval=2 -> 2 keys per stream.
     EXPECT_EQ(calls("prefix"), 6);
     EXPECT_EQ(calls("suffix"), 12);
-    EXPECT_EQ(calls("motion_estimation"), 9); // All non-first frames.
+    // Only predicted frames run RFBME: the first frame has no key
+    // pixels and the schedule forces frame 2's key (key_due).
+    EXPECT_EQ(calls("motion_estimation"), 6);
     EXPECT_EQ(calls("warp"), 6);
     EXPECT_EQ(calls("encode"), 6);
 

@@ -185,6 +185,30 @@ TEST(Warp, FractionalWarpBoundedByNeighbours)
     }
 }
 
+/**
+ * key_due's contract: a due gap is a key frame whatever motion
+ * estimation would have measured, so the frame path may skip RFBME.
+ */
+void
+expect_key_due_implies_key(KeyFramePolicy &policy, i64 max_n)
+{
+    for (i64 n = 1; n <= max_n; ++n) {
+        if (!policy.key_due(n)) {
+            continue;
+        }
+        for (const double error : {0.0, 0.01, 1e9}) {
+            for (const double magnitude : {0.0, 10.0, 1e9}) {
+                FrameFeatures f;
+                f.frames_since_key = n;
+                f.match_error = error;
+                f.motion_magnitude = magnitude;
+                EXPECT_TRUE(policy.is_key_frame(f))
+                    << policy.name() << " at gap " << n;
+            }
+        }
+    }
+}
+
 TEST(Policy, StaticRate)
 {
     StaticRatePolicy policy(3);
@@ -195,6 +219,15 @@ TEST(Policy, StaticRate)
     EXPECT_FALSE(policy.is_key_frame(f));
     f.frames_since_key = 3;
     EXPECT_TRUE(policy.is_key_frame(f));
+    EXPECT_FALSE(policy.key_due(1));
+    EXPECT_FALSE(policy.key_due(2));
+    EXPECT_TRUE(policy.key_due(3));
+    EXPECT_TRUE(policy.key_due(4));
+    expect_key_due_implies_key(policy, 8);
+    // every_frame: every non-first frame is due.
+    StaticRatePolicy every(1);
+    EXPECT_TRUE(every.key_due(1));
+    expect_key_due_implies_key(every, 4);
 }
 
 TEST(Policy, BlockErrorThreshold)
@@ -206,6 +239,15 @@ TEST(Policy, BlockErrorThreshold)
     EXPECT_FALSE(policy.is_key_frame(f));
     f.match_error = 0.10;
     EXPECT_TRUE(policy.is_key_frame(f));
+    // No cap: never due on schedule, however long the gap.
+    EXPECT_FALSE(policy.key_due(1));
+    EXPECT_FALSE(policy.key_due(1000000));
+
+    BlockErrorPolicy capped(0.05, 4);
+    EXPECT_FALSE(capped.key_due(3));
+    EXPECT_TRUE(capped.key_due(4));
+    EXPECT_TRUE(capped.key_due(5));
+    expect_key_due_implies_key(capped, 8);
 }
 
 TEST(Policy, MotionMagnitudeThresholdAndMaxGap)
@@ -220,12 +262,22 @@ TEST(Policy, MotionMagnitudeThresholdAndMaxGap)
     f.motion_magnitude = 0.0;
     f.frames_since_key = 5;
     EXPECT_TRUE(policy.is_key_frame(f)) << "max gap must force a key";
+    EXPECT_FALSE(policy.key_due(4));
+    EXPECT_TRUE(policy.key_due(5));
+    EXPECT_TRUE(policy.key_due(6));
+    expect_key_due_implies_key(policy, 8);
+    EXPECT_FALSE(MotionMagnitudePolicy(100.0).key_due(1000000));
 }
 
 TEST(Policy, InvalidConfigsThrow)
 {
     EXPECT_THROW(StaticRatePolicy(0), ConfigError);
     EXPECT_THROW(BlockErrorPolicy(-1.0), ConfigError);
+    // A negative cap is not "no cap" (that is 0): reject it.
+    EXPECT_THROW(BlockErrorPolicy(0.05, -10), ConfigError);
+    EXPECT_THROW(MotionMagnitudePolicy(60.0, -10), ConfigError);
+    EXPECT_NO_THROW(BlockErrorPolicy(0.05, 0));
+    EXPECT_NO_THROW(MotionMagnitudePolicy(60.0, 0));
 }
 
 class PipelineTest : public ::testing::Test

@@ -3,13 +3,15 @@
  * Tests for the compiled FramePlan stage graph and its pipelined
  * execution: stage-level parity with the serial AmcPipeline facade,
  * the digest-identity sweep over scenarios x policies x kernels
- * (pipelined Engine vs the serial AmcPipeline reference), and the
+ * (pipelined Engine vs the serial AmcPipeline reference), motion
+ * estimation skipped on schedule-forced key frames, and the
  * zero-allocation guarantee of the full submit-to-commit
  * predicted-frame path.
  */
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
+#include "api/registry.h"
 #include "cnn/model_zoo.h"
 #include "runtime/stage_scheduler.h"
 #include "runtime/thread_pool.h"
@@ -116,6 +118,116 @@ TEST(FramePlan, ForcedPathsMatchFacadeForcedPaths)
     EXPECT_EQ(front.me_add_ops, pred.me_add_ops);
     EXPECT_TRUE(pred.output ==
                 b.frame_plan().run_suffix(0, arena, nullptr));
+}
+
+/**
+ * Motion estimation runs only when the policy can use it. Under each
+ * scheduled policy (no adaptive key fires at th=1e9, so every key
+ * after the first is forced every `period` frames), RFBME and the
+ * policy call fire on exactly the predicted frames; each forced key
+ * reports zero motion features and ops; and each key frame's output
+ * equals a whole-network ExecutionPlan run on the frame, an oracle
+ * outside FramePlan.
+ */
+TEST(FramePlanLazyMotion, ScheduleForcedKeysSkipMotionEstimation)
+{
+    PlanFixture fx;
+    const Sequence seq = multi_stream_set(/*seed=*/17, 1, 12, 96)[0];
+    const ExecutionPlan whole(fx.net);
+    const std::vector<std::pair<std::string, i64>> policies = {
+        {"every_frame", 1},
+        {"static:interval=3", 3},
+        {"adaptive_error:th=1e9,max_gap=4", 4},
+        {"adaptive_motion:th=1e9,max_gap=4", 4},
+    };
+    for (const auto &[spec, period] : policies) {
+        FramePlan plan(fx.net, PolicyRegistry::instance().make(spec),
+                       small_options());
+        StageTimings counts;
+        ScratchArena arena;
+        ScratchArena oracle_arena;
+        for (i64 f = 0; f < seq.size(); ++f) {
+            const i64 me_before = counts.calls(AmcStage::kMotionEstimation);
+            const i64 policy_before = counts.calls(AmcStage::kPolicy);
+            const FrontResult front =
+                plan.run_front(seq[f].image, 0, arena, &counts);
+            const bool me_ran =
+                counts.calls(AmcStage::kMotionEstimation) > me_before;
+            const bool policy_ran =
+                counts.calls(AmcStage::kPolicy) > policy_before;
+            const std::string where = spec + ", frame " + std::to_string(f);
+            EXPECT_EQ(front.is_key, f % period == 0) << where;
+            EXPECT_EQ(me_ran, !front.is_key) << where;
+            EXPECT_EQ(policy_ran, !front.is_key) << where;
+            if (front.is_key) {
+                EXPECT_EQ(front.me_add_ops, 0) << where;
+                EXPECT_EQ(front.features.match_error, 0.0) << where;
+                EXPECT_EQ(front.features.motion_magnitude, 0.0) << where;
+                EXPECT_EQ(front.features.frames_since_key,
+                          f == 0 ? 0 : period)
+                    << where;
+                EXPECT_TRUE(plan.run_suffix(0, arena, nullptr) ==
+                            whole.run(seq[f].image, oracle_arena))
+                    << where;
+            } else {
+                EXPECT_GT(front.me_add_ops, 0) << where;
+                EXPECT_EQ(front.features.frames_since_key, f % period)
+                    << where;
+            }
+        }
+    }
+}
+
+/** StaticRatePolicy(3) without the key_due override. */
+class UnscheduledStaticPolicy : public KeyFramePolicy
+{
+  public:
+    bool
+    is_key_frame(const FrameFeatures &features) override
+    {
+        ++calls;
+        return features.frames_since_key >= 3;
+    }
+
+    std::string name() const override { return "unscheduled_static"; }
+
+    i64 calls = 0;
+};
+
+/**
+ * A policy that does not override key_due is consulted as before:
+ * RFBME and is_key_frame run on every non-first frame, keys included.
+ * Its outputs equal those of StaticRatePolicy(3), which skips RFBME
+ * on the same keys: the skipped motion field was never read.
+ */
+TEST(FramePlanLazyMotion, PoliciesWithoutKeyDueStillGetMotionFeatures)
+{
+    PlanFixture fx;
+    const Sequence seq = multi_stream_set(/*seed=*/17, 1, 12, 96)[0];
+    auto owned = std::make_unique<UnscheduledStaticPolicy>();
+    const UnscheduledStaticPolicy *policy = owned.get();
+    FramePlan plan(fx.net, std::move(owned), small_options());
+    FramePlan lazy(fx.net, std::make_unique<StaticRatePolicy>(3),
+                   small_options());
+    StageTimings counts;
+    ScratchArena arena;
+    for (i64 f = 0; f < seq.size(); ++f) {
+        const FrontResult front =
+            plan.run_front(seq[f].image, 0, arena, &counts);
+        const FrontResult skip =
+            lazy.run_front(seq[f].image, 0, arena, nullptr);
+        EXPECT_EQ(front.is_key, skip.is_key) << "frame " << f;
+        if (f > 0) {
+            EXPECT_GT(front.me_add_ops, 0) << "frame " << f;
+        }
+        const Tensor out = plan.run_suffix(0, arena, nullptr);
+        EXPECT_TRUE(out == lazy.run_suffix(0, arena, nullptr))
+            << "frame " << f;
+    }
+    EXPECT_EQ(counts.calls(AmcStage::kMotionEstimation), seq.size() - 1);
+    EXPECT_EQ(counts.calls(AmcStage::kPolicy), seq.size() - 1);
+    EXPECT_EQ(policy->calls, seq.size() - 1);
+    EXPECT_EQ(plan.stats().key_frames, 4);
 }
 
 /** The small_options() shape as an engine config. */
