@@ -245,11 +245,14 @@ conv_variant_bench(benchmark::State &state, const ConvShape &shape,
     }
     const Tensor in = conv_shape_input(shape);
     Tensor out(conv.out_shape(in.shape()));
+    const Tensor *ins[1] = {&in};
+    Tensor *outs[1] = {&out};
     Tensor col;
     for (auto _ : state) {
-        conv_im2col_gemm(in, g, conv.weights().data(),
-                         conv.biases().data(), out, col,
-                         /*fuse_relu=*/true, variant);
+        conv_im2col_gemm(ins, 1, g, conv.weights().data(),
+                         conv.biases().data(), outs, col,
+                         /*gemm_out=*/nullptr, /*fuse_relu=*/true,
+                         variant);
         benchmark::DoNotOptimize(out.data().data());
     }
     state.SetItemsProcessed(state.iterations() *

@@ -11,9 +11,9 @@
  * bit-identical to a serial run (verified here on every row). Within
  * one stream, the stage scheduler overlaps frame N+1's motion
  * estimation with frame N's CNN suffix; across streams, the suffix
- * batcher merges suffix-ready activations into shared
- * BatchedExecutionPlan runs that stream FC weights once per batch
- * (see docs/suffix_batching.md).
+ * batcher merges suffix-ready activations into shared runs of a
+ * suffix plan compiled for several samples, which stream FC weights
+ * once per batch (see docs/suffix_batching.md).
  *
  * Executions per row:
  *   serial      the serial AmcPipeline reference (reference_rows),

@@ -551,7 +551,7 @@ Engine::batcher_locked(const AmcPipeline &pipeline)
         return nullptr;
     }
     if (!batcher_) {
-        batched_suffix_ = std::make_unique<BatchedExecutionPlan>(
+        batched_suffix_ = std::make_unique<ExecutionPlan>(
             pipeline.suffix_plan(), opts_.suffix_batch.max_batch);
         batcher_ = std::make_unique<SuffixBatcher>(
             *batched_suffix_, pool_.get(), opts_.suffix_batch);

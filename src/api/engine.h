@@ -88,7 +88,9 @@ struct EngineConfig
      * CNN execution kernel spec (KernelRegistry): how the compiled
      * plans run the network. `gemm` (im2col + blocked GEMM, fused
      * conv+ReLU) is bit-identical to `direct` (the seed reference)
-     * and roughly twice as fast on serving shapes.
+     * and roughly twice as fast on serving shapes. `tuned` is `gemm`
+     * with per-shape autotuned SIMD kernels: faster, but
+     * bounded-divergence rather than bit-exact.
      */
     std::string kernel = "gemm";
     /** AMC target layer: "last_spatial", "early", or "layer:<i>". */
@@ -102,8 +104,8 @@ struct EngineConfig
      *                                its own task (the legacy shape);
      *   "auto[:max=N,delay_us=U]"    suffix-ready activations from
      *                                all streams collect into shared
-     *                                BatchedExecutionPlan runs of up
-     *                                to N samples (default 8), a
+     *                                runs of a suffix plan compiled
+     *                                for N samples (default 8), a
      *                                partial batch dispatching once
      *                                its oldest item has waited U
      *                                microseconds (default 200).
@@ -570,8 +572,7 @@ class Engine
      * or draining a session.
      */
     mutable Mutex mutex_;
-    std::unique_ptr<BatchedExecutionPlan> batched_suffix_
-        GUARDED_BY(mutex_);
+    std::unique_ptr<ExecutionPlan> batched_suffix_ GUARDED_BY(mutex_);
     /** Destroyed before the pool its batches run on. */
     std::unique_ptr<SuffixBatcher> batcher_ GUARDED_BY(mutex_);
     /** Destroyed first: their schedulers use the batcher and pool. */

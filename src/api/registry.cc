@@ -271,16 +271,16 @@ InterpRegistry::resolve(const std::string &name) const
 KernelRegistry::KernelRegistry()
 {
     add("gemm", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({"fuse"});
+        spec.allow_only({});
         plan.conv_kernel = ConvKernel::kIm2colGemm;
-        plan.fuse_conv_relu = spec.integer("fuse", 1) != 0;
+        plan.fuse_conv_relu = true;
     });
     add("direct", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({"fuse"});
+        spec.allow_only({});
         plan.conv_kernel = ConvKernel::kDirect;
-        // The reference configuration mirrors the seed exactly, so
-        // fusion defaults off here.
-        plan.fuse_conv_relu = spec.integer("fuse", 0) != 0;
+        // The reference configuration mirrors the seed exactly: a
+        // separate ReLU pass after every conv.
+        plan.fuse_conv_relu = false;
     });
     // gemm + per-shape autotuning over the SIMD micro-kernel variants
     // (kernel_tuner.h). The tuned kernels are bounded-divergence vs
@@ -288,9 +288,9 @@ KernelRegistry::KernelRegistry()
     // for the verification contract. Falls back to scalar gemm when
     // SIMD is unsupported on the running machine.
     add("tuned", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({"fuse", "budget_us"});
+        spec.allow_only({"budget_us"});
         plan.conv_kernel = ConvKernel::kIm2colGemm;
-        plan.fuse_conv_relu = spec.integer("fuse", 1) != 0;
+        plan.fuse_conv_relu = true;
         plan.tune = true;
         plan.tune_budget_us = spec.integer("budget_us", 20000);
         require(plan.tune_budget_us > 0,

@@ -137,12 +137,17 @@ class InterpRegistry
  * rewrites the PlanOptions embedded in an AmcOptions.
  *
  * Built-ins:
- *   `gemm[:fuse=0|1]`   im2col + blocked-GEMM convolutions
- *                       (bit-identical to direct; default), with
- *                       conv+ReLU fusion on unless fuse=0.
- *   `direct[:fuse=0|1]` the seed's direct convolution loop — the
- *                       bit-exactness reference; fusion off unless
- *                       fuse=1.
+ *   `gemm`                 im2col + blocked-GEMM convolutions with
+ *                          conv+ReLU fusion (bit-identical to direct;
+ *                          the default).
+ *   `direct`               the seed's direct convolution loop and
+ *                          separate ReLU pass — the bit-exactness
+ *                          reference.
+ *   `tuned[:budget_us=N]`  gemm with per-shape autotuned SIMD GEMM
+ *                          and FC kernels (N µs per tuning contest,
+ *                          default 20000); bounded-divergence, not
+ *                          bit-exact (docs/simd_kernels.md). Runs
+ *                          scalar gemm where SIMD is unsupported.
  */
 class KernelRegistry
 {

@@ -56,9 +56,7 @@ gemm_tile(const float *weights, const float *biases, const float *col,
 /**
  * Pack tap row `k` of one sample into a column matrix whose rows are
  * `row_stride` wide: the sample's output pixels land at columns
- * [col_offset, col_offset + oh*ow). The single-sample packer uses
- * row_stride == oh*ow and offset 0; the batched packer lays samples
- * side by side in wider rows.
+ * [col_offset, col_offset + oh*ow).
  */
 void
 pack_tap_row(const Tensor &in, const ConvGeometry &g,
@@ -90,26 +88,33 @@ pack_tap_row(const Tensor &in, const ConvGeometry &g,
 }
 
 /**
- * Full GEMM over `ncols` packed columns, split across threads in
- * disjoint column strips. kScalar runs the blocked reference tile;
- * SIMD variants run their register-tile strip kernel at the variant's
- * preferred strip width. Either way strips write disjoint columns and
+ * Full GEMM over `nb` samples' packed columns (`pix` each), split
+ * across threads in disjoint column strips. kScalar runs the blocked
+ * reference tile, whose tiles may span samples: every column takes
+ * the same code path, so grouping cannot change a bit. SIMD variants
+ * run their register-tile strip kernel at the variant's preferred
+ * strip width, with strips aligned to each sample's columns: a strip
+ * computes its last partial vector with scalar mul+add, so a strip
+ * spanning samples would give a sample different bits at different
+ * batch sizes. Either way strips write disjoint columns and
  * per-output accumulation order is fixed, so the split is
  * deterministic and thread-count-invariant.
  */
 void
 run_gemm(GemmVariant variant, const float *weights, const float *biases,
-         const float *packed, i64 out_c, i64 taps, i64 ncols,
+         const float *packed, i64 out_c, i64 taps, i64 nb, i64 pix,
          float *dst, bool fuse_relu)
 {
-    const i64 width = variant == GemmVariant::kScalar
-                          ? kTileN
-                          : gemm_strip_width(variant);
-    const i64 strips = ceil_div(ncols, width);
-    parallel_for(0, strips, [&](i64 s) {
-        const i64 j0 = s * width;
-        const i64 jn = std::min<i64>(width, ncols - j0);
-        if (variant == GemmVariant::kScalar) {
+    const bool scalar = variant == GemmVariant::kScalar;
+    const i64 ncols = nb * pix;
+    const i64 width = scalar ? kTileN : gemm_strip_width(variant);
+    const i64 span = scalar ? ncols : pix; // No strip crosses a span.
+    const i64 per_span = ceil_div(span, width);
+    parallel_for(0, (ncols / span) * per_span, [&](i64 s) {
+        const i64 base = (s / per_span) * span;
+        const i64 j0 = base + (s % per_span) * width;
+        const i64 jn = std::min<i64>(width, base + span - j0);
+        if (scalar) {
             gemm_tile(weights, biases, packed, out_c, taps, ncols, j0,
                       jn, dst, fuse_relu);
         } else {
@@ -131,24 +136,6 @@ gemm_strip_scalar(const float *weights, const float *biases,
         gemm_tile(weights, biases, col, out_c, taps, n, j0 + t0, tn,
                   out, fuse_relu);
     }
-}
-
-void
-im2col_pack(const Tensor &in, const ConvGeometry &g,
-            const Shape &out_shape, Tensor &col)
-{
-    const i64 taps = im2col_rows(g);
-    const i64 n = out_shape.h * out_shape.w;
-    col.reshape_to(Shape{1, taps, n});
-    float *dst = col.data().data();
-    // Rows are independent (one (ic, ky, kx) tap each) and written
-    // disjointly, so splitting them across threads is deterministic.
-    parallel_for(
-        0, taps,
-        [&](i64 k) {
-            pack_tap_row(in, g, out_shape, dst, n, 0, k);
-        },
-        ParallelForOptions{/*grain=*/4, /*pool=*/nullptr});
 }
 
 void
@@ -195,37 +182,24 @@ conv_direct(const Tensor &in, const ConvGeometry &g,
 }
 
 void
-conv_im2col_gemm(const Tensor &in, const ConvGeometry &g,
-                 const float *weights, const float *biases, Tensor &out,
-                 Tensor &col, bool fuse_relu, GemmVariant variant)
+conv_im2col_gemm(const Tensor *const *ins, i64 nb, const ConvGeometry &g,
+                 const float *weights, const float *biases,
+                 Tensor *const *outs, Tensor &col, Tensor *gemm_out,
+                 bool fuse_relu, GemmVariant variant)
 {
-    const Shape os = out.shape();
-    im2col_pack(in, g, os, col);
-    const i64 taps = im2col_rows(g);
-    const i64 n = os.h * os.w;
-    const float *packed = col.data().data();
-    float *dst = out.data().data();
-    run_gemm(variant, weights, biases, packed, g.out_c, taps, n, dst,
-             fuse_relu);
-}
-
-void
-conv_im2col_gemm_batched(const Tensor *const *ins, i64 nb,
-                         const ConvGeometry &g, const float *weights,
-                         const float *biases, Tensor *const *outs,
-                         Tensor &col, Tensor &gemm_out, bool fuse_relu,
-                         GemmVariant variant)
-{
-    require(nb >= 1, "batched conv: batch must be >= 1");
+    require(nb >= 1, "conv: batch must be >= 1");
+    require(nb == 1 || gemm_out != nullptr,
+            "conv: a batch of more than one sample needs gemm_out");
     const Shape os = outs[0]->shape();
     const i64 taps = im2col_rows(g);
     const i64 pix = os.h * os.w;
     const i64 ncols = nb * pix;
     col.reshape_to(Shape{1, taps, ncols});
-    gemm_out.reshape_to(Shape{1, g.out_c, ncols});
     float *packed = col.data().data();
-    // Pack every sample side by side: sample i's output pixels occupy
-    // columns [i*pix, (i+1)*pix) of every tap row.
+    // Sample i's output pixels occupy columns [i*pix, (i+1)*pix) of
+    // every tap row. Rows are independent (one (ic, ky, kx) tap each)
+    // and written disjointly, so splitting them across threads is
+    // deterministic.
     parallel_for(
         0, taps,
         [&](i64 k) {
@@ -234,12 +208,16 @@ conv_im2col_gemm_batched(const Tensor *const *ins, i64 nb,
             }
         },
         ParallelForOptions{/*grain=*/4, /*pool=*/nullptr});
-    // One GEMM over the whole batch's columns. Tiles may span sample
-    // boundaries; each output element's accumulation is per-column,
-    // so the grouping cannot change any result bit.
-    float *dst = gemm_out.data().data();
-    run_gemm(variant, weights, biases, packed, g.out_c, taps, ncols,
-             dst, fuse_relu);
+    if (nb == 1) {
+        // The GEMM's [out_c][pix] product is the CHW output itself.
+        run_gemm(variant, weights, biases, packed, g.out_c, taps, 1, pix,
+                 outs[0]->data().data(), fuse_relu);
+        return;
+    }
+    gemm_out->reshape_to(Shape{1, g.out_c, ncols});
+    float *dst = gemm_out->data().data();
+    run_gemm(variant, weights, biases, packed, g.out_c, taps, nb, pix, dst,
+             fuse_relu);
     // Scatter the interleaved [out_c][nb*pix] product back to each
     // sample's CHW tensor (plain copies: values are already final).
     parallel_for(0, nb, [&](i64 i) {

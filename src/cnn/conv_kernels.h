@@ -51,14 +51,6 @@ im2col_rows(const ConvGeometry &g)
 }
 
 /**
- * Pack input patches column-major-by-pixel: col[k][j] is tap k of
- * output pixel j, with k ordered (ic, ky, kx) and j ordered (oy, ox).
- * `col` is reshaped to {1, K, N}; out-of-bounds taps pack as 0.
- */
-void im2col_pack(const Tensor &in, const ConvGeometry &g,
-                 const Shape &out_shape, Tensor &col);
-
-/**
  * The seed's direct convolution. `out` must be pre-shaped to the
  * layer's output shape; `weights` is [out_c][in_c][ky][kx] flat,
  * `biases` is [out_c].
@@ -78,44 +70,40 @@ void gemm_strip_scalar(const float *weights, const float *biases,
                        i64 j0, i64 jn, float *out, bool fuse_relu);
 
 /**
- * im2col + blocked GEMM convolution; with the default kScalar variant,
- * bit-identical to conv_direct (see file comment). `col` is the
- * packing workspace (any shape; it is reshaped here and reusable
- * across calls and layers). A SIMD `variant` (tuner-selected, see
- * kernel_tuner.h) computes the same GEMM with fused multiply-adds —
- * bounded divergence vs the scalar reference, never bit-exact; it
- * requires simd_supported().
- */
-void conv_im2col_gemm(const Tensor &in, const ConvGeometry &g,
-                      const float *weights, const float *biases,
-                      Tensor &out, Tensor &col, bool fuse_relu,
-                      GemmVariant variant = GemmVariant::kScalar);
-
-/**
- * Batched im2col + blocked GEMM over `nb` same-shape inputs in one
- * pass: every sample's output pixels are packed side by side into one
- * K x (nb * pixels) column matrix, multiplied by the weight matrix in
- * shared 32-wide tiles, and scattered back to the per-sample output
- * tensors (`outs[i]` pre-shaped to the layer's output shape).
+ * im2col + blocked GEMM convolution of `nb` >= 1 same-shape inputs in
+ * one pass; with the default kScalar variant, bit-identical to
+ * conv_direct on every sample (see file comment). Every `outs[i]` is
+ * pre-shaped to the layer's output shape.
  *
- * Why batch: one sample's late-suffix plane is often smaller than a
- * GEMM tile, so the per-tile weight stream is amortized over a
- * fraction of a tile; concatenating samples fills the tiles and
- * streams each weight row once per 32 output pixels *of the whole
- * batch*. Bit-exactness is untouched — each output element still
+ * The samples' output pixels are packed side by side into one
+ * K x (nb * pixels) column matrix — col[k][i*pixels + j] is tap k of
+ * sample i's output pixel j, with k ordered (ic, ky, kx), j ordered
+ * (oy, ox), and out-of-bounds taps packed as 0 — and multiplied by the
+ * weight matrix in shared tiles. One sample's late-suffix plane is
+ * often smaller than a GEMM tile; concatenating samples fills the
+ * tiles and streams each weight row once per tile of the whole batch.
+ * Tile grouping never changes a result bit: each output element
  * starts from its bias and accumulates taps in ascending k into one
- * accumulator, so every sample's result is bit-identical to a
- * batch-of-1 conv_im2col_gemm call.
+ * accumulator.
  *
- * `col` and `gemm_out` are caller-owned workspaces (arena slots),
- * reshaped here and reusable across calls and layers.
+ * With one sample the GEMM's [out_c][pixels] product is the CHW
+ * output itself, so it is written straight into outs[0]. With more,
+ * the interleaved [out_c][nb * pixels] product goes to `gemm_out` and
+ * is copied out per sample; `gemm_out` may be null when nb == 1. `col`
+ * and `gemm_out` are caller-owned workspaces (arena slots), reshaped
+ * here and reusable across calls and layers.
+ *
+ * A SIMD `variant` (tuner-selected, see kernel_tuner.h) computes the
+ * same GEMM with fused multiply-adds — bounded divergence vs the
+ * scalar reference, never bit-exact; it requires simd_supported().
+ * Its strips never span samples, so a sample's bits do not depend on
+ * `nb` either.
  */
-void conv_im2col_gemm_batched(const Tensor *const *ins, i64 nb,
-                              const ConvGeometry &g,
-                              const float *weights, const float *biases,
-                              Tensor *const *outs, Tensor &col,
-                              Tensor &gemm_out, bool fuse_relu,
-                              GemmVariant variant = GemmVariant::kScalar);
+void conv_im2col_gemm(const Tensor *const *ins, i64 nb,
+                      const ConvGeometry &g, const float *weights,
+                      const float *biases, Tensor *const *outs,
+                      Tensor &col, Tensor *gemm_out, bool fuse_relu,
+                      GemmVariant variant = GemmVariant::kScalar);
 
 } // namespace eva2
 

@@ -51,24 +51,10 @@ ConvLayer::forward(const Tensor &in) const
 void
 ConvLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
-    const ConvGeometry g{in_c_, out_c_, kernel_, stride_, pad_};
-    if (ctx.conv_kernel == ConvKernel::kIm2colGemm) {
-        if (ctx.scratch != nullptr) {
-            conv_im2col_gemm(in, g, weights_.data(), biases_.data(),
-                             *ctx.out, *ctx.scratch, ctx.fuse_relu,
-                             ctx.conv_variant);
-        } else {
-            // No caller workspace: still correct, just not
-            // allocation-free.
-            Tensor col;
-            conv_im2col_gemm(in, g, weights_.data(), biases_.data(),
-                             *ctx.out, col, ctx.fuse_relu,
-                             ctx.conv_variant);
-        }
-        return;
-    }
-    conv_direct(in, g, weights_.data(), biases_.data(), *ctx.out,
-                ctx.fuse_relu);
+    // The direct kernel; ExecutionPlan runs GEMM convs itself, over
+    // every sample of a run at once (conv_im2col_gemm).
+    conv_direct(in, {in_c_, out_c_, kernel_, stride_, pad_},
+                weights_.data(), biases_.data(), *ctx.out, ctx.fuse_relu);
 }
 
 } // namespace eva2

@@ -18,6 +18,34 @@
  *    direct loop, see conv_kernels.h), optionally fusing a following
  *    ReLU into the conv's output write.
  *
+ * A plan may also be compiled for up to `max_batch` same-shape
+ * inputs per run: the cross-stream suffix batcher executes many
+ * streams' suffixes as one pass. Batching buys what batch-of-1
+ * execution cannot:
+ *
+ *  - FC layers become matrix-matrix products: each weight row is
+ *    streamed from memory once per *batch* instead of once per
+ *    sample (FcLayer::forward_batched, chosen for every FC step of a
+ *    plan compiled with max_batch > 1);
+ *  - GEMM convs pack all samples' output pixels into one im2col
+ *    matrix, so tiles that one small late-suffix plane would leave
+ *    mostly empty are filled (conv_im2col_gemm over nb inputs);
+ *  - other layers run per sample through their forward_into bodies.
+ *
+ * Bit-exactness: every output element of every sample is computed
+ * with the accumulation order of the seed layer, so a sample's result
+ * — and each stream's digest chain — does not depend on which other
+ * samples shared its run. (The `tune` SIMD FC kernels are the one
+ * exception to *plan-type* independence: a plan compiled with
+ * max_batch > 1 runs the batched SIMD dot at every n, so its outputs
+ * never depend on n, but may differ from a max_batch = 1 plan's.)
+ *
+ * Memory: lane i's activations ping-pong through arena slots 2i and
+ * 2i+1; slot 2*max_batch is the im2col buffer shared by every GEMM
+ * conv, and slot 2*max_batch+1 holds a GEMM conv's interleaved output
+ * for runs of more than one sample. A one-sample plan thus uses slots
+ * 0 and 1 plus slot 2.
+ *
  * A plan borrows its Network and is immutable after compilation, so
  * one plan may be shared by any number of threads, each running it
  * against its own arena.
@@ -28,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "cnn/conv_kernels.h"
 #include "cnn/network.h"
 #include "tensor/scratch_arena.h"
 
@@ -87,20 +116,22 @@ struct PlanRecord
 };
 
 /**
- * A layer range of a Network, compiled for one input shape.
- * See the file comment for what compilation buys.
+ * A layer range of a Network, compiled for one input shape and for up
+ * to `max_batch` inputs of that shape per run. See the file comment
+ * for what compilation and batching buy.
  */
 class ExecutionPlan
 {
   public:
     /**
-     * Compile layers [begin, end) of `net` for inputs of shape
-     * `in_shape`. Shape propagation runs here, so an incompatible
-     * input shape fails at compile time, not on the first frame.
-     * The network is borrowed and must outlive the plan.
+     * Compile layers [begin, end) of `net` for up to `max_batch`
+     * inputs of shape `in_shape` (1 <= max_batch <= kMaxSuffixBatch).
+     * Shape propagation runs here, so an incompatible input shape
+     * fails at compile time, not on the first frame. The network is
+     * borrowed and must outlive the plan.
      */
     ExecutionPlan(const Network &net, i64 begin, i64 end, Shape in_shape,
-                  PlanOptions opts = {});
+                  PlanOptions opts = {}, i64 max_batch = 1);
 
     /** Compile the whole network at its declared input shape. */
     explicit ExecutionPlan(const Network &net, PlanOptions opts = {})
@@ -109,17 +140,35 @@ class ExecutionPlan
     {
     }
 
+    /** Compile `plan`'s layer range and options for `max_batch`. */
+    ExecutionPlan(const ExecutionPlan &plan, i64 max_batch)
+        : ExecutionPlan(plan.network(), plan.begin(), plan.end(),
+                        plan.in_shape(), plan.options(), max_batch)
+    {
+    }
+
     /**
-     * Execute the plan on `in`, cycling activations through `arena`.
-     * Returns a reference to the arena slot holding the final
-     * activation (or to `in` itself for an empty range) — valid until
-     * the arena is next written. Callers that need the result to
-     * outlive the arena copy it.
+     * Execute samples inputs[0..n) (1 <= n <= max_batch(), all of
+     * shape in_shape()) in one pass, cycling activations through
+     * `arena`. On return outs[i] points at the arena slot holding
+     * sample i's final activation (or at inputs[i] for an empty
+     * range) — valid until the arena is next written. Callers that
+     * need a result to outlive the arena copy it.
+     *
+     * Aliasing: inputs[i] may be lane i's *own* arena slot, e.g. the
+     * previous plan's output when two plans are chained through one
+     * arena; the lane then shifts its ping-pong parity so no step
+     * reads the tensor it is writing. Inputs must not alias a
+     * *different* lane's slots or the shared im2col/GEMM slots.
      *
      * Zero steady-state allocations: once the arena slots have grown
-     * to this plan's largest shapes, run() performs no heap
-     * allocation. Safe against `in` aliasing an arena slot.
+     * to this plan's largest shapes at each batch size used, run()
+     * performs no heap allocation.
      */
+    void run(const Tensor *const *inputs, i64 n, const Tensor **outs,
+             ScratchArena &arena) const;
+
+    /** The n = 1 case of run(): returns the final activation. */
     const Tensor &run(const Tensor &in, ScratchArena &arena) const;
 
     /**
@@ -132,6 +181,7 @@ class ExecutionPlan
     Shape out_shape() const { return out_shape_; }
     i64 begin() const { return begin_; }
     i64 end() const { return end_; }
+    i64 max_batch() const { return max_batch_; }
     i64 num_steps() const { return static_cast<i64>(steps_.size()); }
     const PlanOptions &options() const { return opts_; }
     const Network &network() const { return *net_; }
@@ -145,128 +195,20 @@ class ExecutionPlan
         const Layer *layer = nullptr;
         i64 layer_index = 0;
         Shape out_shape;
+        /** kIm2colGemm marks a GEMM conv step (run by the plan
+         * itself, over every sample at once). */
         ConvKernel conv_kernel = ConvKernel::kDirect;
+        /** The GEMM conv's geometry (GEMM conv steps only). */
+        ConvGeometry conv;
         /** Tuner-picked GEMM variant (kScalar unless opts.tune). */
         GemmVariant conv_variant = GemmVariant::kScalar;
         /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
         bool simd_fc = false;
+        /** FC step run by FcLayer::forward_batched: fixed at compile
+         * time by max_batch > 1, never by a run's n. */
+        bool batched_fc = false;
         bool fuse_relu = false;
-        i64 out_slot = 0;
-        i64 col_slot = -1; ///< im2col workspace slot, or -1.
-        Shape col_shape;   ///< Pre-resolved im2col dimensions.
-    };
-
-    const Network *net_;
-    i64 begin_;
-    i64 end_;
-    Shape in_shape_;
-    Shape out_shape_;
-    PlanOptions opts_;
-    std::vector<Step> steps_;
-};
-
-/**
- * A layer range of a Network, compiled for N same-shape inputs
- * executed in one pass — the cross-stream form of ExecutionPlan.
- *
- * At serving scale the CNN suffix runs on *every* frame of *every*
- * stream (only the prefix is skipped on predicted frames), so its
- * per-sample cost is the number that bounds frames/sec per machine.
- * Executing many streams' suffixes as one batch buys what batch-of-1
- * execution cannot:
- *
- *  - FC layers become matrix-matrix products: each weight row is
- *    streamed from memory once per *batch* instead of once per
- *    sample (FcLayer::forward_batched);
- *  - conv layers pack all samples' output pixels into one im2col
- *    matrix, so GEMM tiles that a single small late-suffix plane
- *    would leave mostly empty are filled, and the per-tile weight
- *    stream is amortized across the batch
- *    (conv_im2col_gemm_batched);
- *  - pointwise layers run per sample through the same forward_into
- *    bodies the unbatched plan uses.
- *
- * Bit-exactness: every output element of every sample is computed
- * with exactly the accumulation order of the unbatched plan, so each
- * sample's result — and therefore each stream's digest chain — is
- * bit-identical to batch-of-1 execution. Batching is purely an
- * execution-shape knob.
- *
- * Memory: lane activations ping-pong through 2*max_batch arena
- * slots, plus one shared im2col slot and one shared GEMM output
- * slot; after warm-up a run performs zero heap allocations. Like
- * ExecutionPlan, a compiled batched plan is immutable and may be
- * shared by any number of threads, each running against its own
- * arena.
- */
-class BatchedExecutionPlan
-{
-  public:
-    /**
-     * Compile layers [begin, end) of `net` for up to `max_batch`
-     * inputs of shape `in_shape` (1 <= max_batch <= kMaxSuffixBatch).
-     * The network is borrowed and must outlive the plan.
-     */
-    BatchedExecutionPlan(const Network &net, i64 begin, i64 end,
-                         Shape in_shape, i64 max_batch,
-                         PlanOptions opts = {});
-
-    /** Compile the batched form of an existing single-sample plan. */
-    BatchedExecutionPlan(const ExecutionPlan &plan, i64 max_batch)
-        : BatchedExecutionPlan(plan.network(), plan.begin(), plan.end(),
-                               plan.in_shape(), max_batch,
-                               plan.options())
-    {
-    }
-
-    /**
-     * Execute samples inputs[0..n) (1 <= n <= max_batch, all of shape
-     * in_shape()) in one pass, cycling activations through `arena`.
-     * On return outs[i] points at the arena slot holding sample i's
-     * final activation (or at inputs[i] for an empty range) — valid
-     * until the arena is next written.
-     *
-     * Aliasing: the ExecutionPlan rule, applied lane by lane —
-     * inputs[i] may be lane i's *own* previous output (chaining two
-     * batched runs through one arena shifts that lane's ping-pong
-     * parity). Inputs must not alias a *different* lane's slots or
-     * the shared im2col/GEMM slots; callers that permute lane order
-     * between chained runs copy instead.
-     *
-     * Zero steady-state allocations once the arena has grown to this
-     * plan's largest shapes.
-     */
-    void run(const Tensor *const *inputs, i64 n, const Tensor **outs,
-             ScratchArena &arena) const;
-
-    Shape in_shape() const { return in_shape_; }
-    Shape out_shape() const { return out_shape_; }
-    i64 begin() const { return begin_; }
-    i64 end() const { return end_; }
-    i64 max_batch() const { return max_batch_; }
-    i64 num_steps() const { return static_cast<i64>(steps_.size()); }
-    const PlanOptions &options() const { return opts_; }
-    const Network &network() const { return *net_; }
-
-  private:
-    struct Step
-    {
-        const Layer *layer = nullptr;
-        i64 layer_index = 0;
-        Shape out_shape;
-        ConvKernel conv_kernel = ConvKernel::kDirect;
-        /** Tuner-picked GEMM variant (kScalar unless opts.tune). The
-         * contest runs on the per-sample shape; the batched GEMM
-         * reuses the pick for every batch size (same key as the
-         * unbatched plan, so both agree on one variant). */
-        GemmVariant conv_variant = GemmVariant::kScalar;
-        /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
-        bool simd_fc = false;
-        bool fuse_relu = false;
-        i64 parity = 0;    ///< Lane ping-pong side this step writes.
-        bool batched_conv = false; ///< conv_im2col_gemm_batched step.
-        bool batched_fc = false;   ///< FcLayer::forward_batched step.
-        Shape col_shape;   ///< Per-sample im2col dimensions.
+        i64 parity = 0; ///< Lane ping-pong side this step writes.
     };
 
     /** Arena slot of lane `lane`'s ping-pong side `parity`. */

@@ -57,45 +57,31 @@ enum class ConvKernel
 const char *conv_kernel_name(ConvKernel kernel);
 
 /**
- * Hard upper bound on batched layer execution (the cross-stream
- * suffix batch size of BatchedExecutionPlan and the batched layer
- * kernels it drives). It exists so batched runs can keep their
- * per-lane bookkeeping on the stack (no per-call allocation) and is
- * far above any useful batch — past ~16 the marginal weight-reuse
- * win is gone while batch-formation latency keeps growing.
+ * Hard upper bound on batched layer execution (an ExecutionPlan's
+ * max_batch, hence the cross-stream suffix batch size, and the
+ * batched layer kernels a plan drives). It exists so batched runs
+ * can keep their per-lane bookkeeping on the stack (no per-call
+ * allocation) and is far above any useful batch — past ~16 the
+ * marginal weight-reuse win is gone while batch-formation latency
+ * keeps growing.
  */
 constexpr i64 kMaxSuffixBatch = 64;
 
 /**
  * Execution context for allocation-free forwarding. The destination
- * (and any kernel workspace) is owned by the caller — in planned
- * execution, by a per-worker ScratchArena — so the layer writes in
- * place instead of returning a fresh tensor.
+ * is owned by the caller — in planned execution, by a per-worker
+ * ScratchArena — so the layer writes in place instead of returning a
+ * fresh tensor.
  */
 struct ForwardCtx
 {
     /** Destination, already shaped to out_shape(in.shape()). */
     Tensor *out = nullptr;
     /**
-     * Kernel workspace (the im2col packing buffer), reshaped by the
-     * kernel as needed. May be null: kernels that need a workspace
-     * then allocate a local one, trading the zero-allocation
-     * guarantee for convenience.
-     */
-    Tensor *scratch = nullptr;
-    /** Which convolution kernel conv layers should run. */
-    ConvKernel conv_kernel = ConvKernel::kDirect;
-    /**
      * Fold the following ReLU into this layer (plans set this when
      * they elide the ReLU step): the kernel writes max(acc, 0).
      */
     bool fuse_relu = false;
-    /**
-     * GEMM micro-kernel variant for im2col conv (tuner-selected by
-     * `kernel=tuned` plans; kScalar is the bit-exact reference). SIMD
-     * variants are bounded-divergence and require simd_supported().
-     */
-    GemmVariant conv_variant = GemmVariant::kScalar;
     /**
      * Run FC layers through the SIMD dot kernel (tuner-selected, see
      * kernel_tuner.h). Bounded-divergence; requires simd_supported().

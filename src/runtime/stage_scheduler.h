@@ -89,9 +89,10 @@ struct StageSchedulerOptions
      * schedulers, or null to run each suffix as its own task. When
      * set, the suffix stage becomes enqueue-to-batcher: the front
      * half hands the slot activation to the batcher, which executes
-     * it inside a BatchedExecutionPlan run with other streams' ready
-     * suffixes and routes the result back into this scheduler's
-     * in-order commit flush. Digests are bit-identical either way.
+     * it in one run of the batcher's suffix ExecutionPlan with other
+     * streams' ready suffixes and routes the result back into this
+     * scheduler's in-order commit flush. Digests are bit-identical
+     * either way.
      */
     SuffixBatcher *batcher = nullptr;
 };

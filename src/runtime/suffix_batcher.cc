@@ -20,8 +20,8 @@ SuffixBatchStats::delta_from(const SuffixBatchStats &before) const
     return out;
 }
 
-SuffixBatcher::SuffixBatcher(const BatchedExecutionPlan &plan,
-                             ThreadPool *pool, SuffixBatchOptions opts)
+SuffixBatcher::SuffixBatcher(const ExecutionPlan &plan, ThreadPool *pool,
+                             SuffixBatchOptions opts)
     : plan_(&plan), pool_(pool), opts_(opts)
 {
     require(opts_.max_batch >= 1 &&

@@ -7,9 +7,10 @@
  * dominant compute — yet each stream's StageScheduler used to execute
  * it as a batch-of-1 task. The SuffixBatcher collects suffix-ready
  * slot-ring activations from many streams' FramePlans and dispatches
- * them as one BatchedExecutionPlan run, which streams FC weights once
- * per batch and fills conv GEMM tiles that one small late-suffix
- * plane would leave mostly empty (see cnn/execution_plan.h).
+ * them as one run of a suffix ExecutionPlan compiled for max_batch
+ * samples, which streams FC weights once per batch and fills conv
+ * GEMM tiles that one small late-suffix plane would leave mostly
+ * empty (see cnn/execution_plan.h).
  *
  * Batch formation policy — the `max_batch`/`max_delay_us` pair every
  * serving batcher ends up with:
@@ -24,9 +25,10 @@
  *
  * Ordering: batches may complete in any order; each item's completion
  * is routed back to its own stream's scheduler, whose in-order commit
- * flush already tolerates out-of-order suffix completion. Since the
- * batched plan is bit-identical per sample, per-stream digest chains
- * are unchanged by any batching the policy chooses.
+ * flush already tolerates out-of-order suffix completion. A sample's
+ * result does not depend on the other samples in its run, so
+ * per-stream digest chains are unchanged by any batching the policy
+ * chooses.
  *
  * Without a pool (serial engines), submissions execute inline as
  * batch-of-1 — semantics identical, nothing ever pending.
@@ -48,7 +50,7 @@ namespace eva2 {
 /** Batch-formation policy of a SuffixBatcher. */
 struct SuffixBatchOptions
 {
-    /** Master switch (executor options embed this struct). */
+    /** Master switch (EngineConfig::batch "auto" sets it). */
     bool enabled = false;
     /** Dispatch as soon as this many items are pending (>= 1). */
     i64 max_batch = 8;
@@ -112,14 +114,13 @@ class SuffixBatcher
 {
   public:
     /**
-     * @param plan The shared batched suffix plan (borrowed; must
-     *             outlive the batcher). Its max_batch() caps
-     *             opts.max_batch.
+     * @param plan The shared suffix plan (borrowed; must outlive the
+     *             batcher). Its max_batch() caps opts.max_batch.
      * @param pool Worker pool batches run on, or null to execute
      *             every submission inline as batch-of-1.
      * @param opts Batch-formation policy (validated here).
      */
-    SuffixBatcher(const BatchedExecutionPlan &plan, ThreadPool *pool,
+    SuffixBatcher(const ExecutionPlan &plan, ThreadPool *pool,
                   SuffixBatchOptions opts);
 
     /** Drains pending work and stops the timer. */
@@ -166,7 +167,7 @@ class SuffixBatcher
     /** Partial-batch deadline enforcement (pool mode only). */
     void timer_loop();
 
-    const BatchedExecutionPlan *plan_;
+    const ExecutionPlan *plan_;
     ThreadPool *pool_;
     SuffixBatchOptions opts_;
 

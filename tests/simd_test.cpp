@@ -25,6 +25,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -266,15 +267,19 @@ TEST(SimdKernels, GemmVariantsWithinToleranceOfScalar)
             random_tensor(Shape{c.in_c, c.size, c.size}, 59);
         Tensor ref(conv.out_shape(in.shape()));
         Tensor out(conv.out_shape(in.shape()));
+        const Tensor *ins[1] = {&in};
+        Tensor *ref_outs[1] = {&ref};
+        Tensor *outs[1] = {&out};
         Tensor col;
         for (const bool fuse : {false, true}) {
-            conv_im2col_gemm(in, g, conv.weights().data(),
-                             conv.biases().data(), ref, col, fuse,
+            conv_im2col_gemm(ins, 1, g, conv.weights().data(),
+                             conv.biases().data(), ref_outs, col,
+                             /*gemm_out=*/nullptr, fuse,
                              GemmVariant::kScalar);
             for (const GemmVariant v : simd_gemm_variants()) {
-                conv_im2col_gemm(in, g, conv.weights().data(),
-                                 conv.biases().data(), out, col, fuse,
-                                 v);
+                conv_im2col_gemm(ins, 1, g, conv.weights().data(),
+                                 conv.biases().data(), outs, col,
+                                 /*gemm_out=*/nullptr, fuse, v);
                 const DivergenceReport rep = divergence(ref, out);
                 EXPECT_TRUE(
                     within_tolerance(ref, out, kMaxUlp, kMaxAbs))
@@ -415,8 +420,8 @@ TEST(KernelRegistry, TunedSpecSetsPlanOptions)
     EXPECT_EQ(plan.conv_kernel, ConvKernel::kIm2colGemm);
     EXPECT_TRUE(plan.fuse_conv_relu);
     EXPECT_EQ(plan.tune_budget_us, 20000);
-    reg.apply("tuned:fuse=0,budget_us=5000", plan);
-    EXPECT_FALSE(plan.fuse_conv_relu);
+    reg.apply("tuned:budget_us=5000", plan);
+    EXPECT_TRUE(plan.fuse_conv_relu);
     EXPECT_EQ(plan.tune_budget_us, 5000);
 }
 
@@ -425,6 +430,7 @@ TEST(KernelRegistry, TunedSpecRejectsBadParams)
     KernelRegistry &reg = KernelRegistry::instance();
     PlanOptions plan;
     EXPECT_THROW(reg.apply("tuned:bogus=1", plan), ConfigError);
+    EXPECT_THROW(reg.apply("tuned:fuse=0", plan), ConfigError);
     EXPECT_THROW(reg.apply("tuned:budget_us=0", plan), ConfigError);
     EXPECT_THROW(reg.apply("tuned:budget_us=-3", plan), ConfigError);
 }
@@ -532,7 +538,7 @@ TEST(TunedPlan, BatchedRunWithinToleranceOfUnbatchedTuned)
     topts.tune = true;
     topts.tune_budget_us = 1000;
     const ExecutionPlan single(net, topts);
-    const BatchedExecutionPlan batched(single, /*max_batch=*/4);
+    const ExecutionPlan batched(single, /*max_batch=*/4);
 
     std::vector<Tensor> ins;
     for (u64 i = 0; i < 4; ++i) {
@@ -547,12 +553,72 @@ TEST(TunedPlan, BatchedRunWithinToleranceOfUnbatchedTuned)
     batched.run(in_ptrs.data(), 4, outs.data(), batch_arena);
     for (i64 i = 0; i < 4; ++i) {
         const Tensor &ref = single.run(ins[i], single_arena);
-        // Both sides run the same tuner-picked kernels on the same
-        // per-sample accumulation chains; batching only changes the
-        // column-matrix layout, so samples stay bit-identical here —
-        // but the contract we pin is the tolerance envelope.
+        // Both plans run the same tuner-picked conv variants, but a
+        // SIMD FC step differs: the four-sample plan runs the batched
+        // SIMD dot, whose chains differ from fc_dot_simd's. The
+        // contract between the two plan shapes is the envelope.
         EXPECT_TRUE(within_tolerance(ref, *outs[i], kMaxUlp, kMaxAbs))
             << "sample " << i;
+    }
+}
+
+/**
+ * Batch formation never moves a tuned digest: a plan's FC kernel is
+ * fixed when it is compiled (batched for max_batch > 1), never chosen
+ * by a run's n, and SIMD GEMM strips never span two samples, so a
+ * four-sample tuned plan gives each sample the same output bits at
+ * every n. Swept over the two served suffixes: faster16 at 96 px
+ * after its early target (6x6 planes, not a whole number of AVX2
+ * vectors) and alexnet at 128 px with 2048-wide FCs.
+ */
+TEST(TunedPlan, BatchSizeNeverChangesASamplesBits)
+{
+    if (!simd_supported()) {
+        GTEST_SKIP() << "no SIMD on this machine";
+    }
+    ScaledBuildOptions detect_build;
+    detect_build.input = Shape{1, 96, 96};
+    const Network detect = build_scaled(faster16_spec(), detect_build);
+    ScaledBuildOptions classify_build;
+    classify_build.input = Shape{1, 128, 128};
+    classify_build.fc_dim = 2048;
+    const Network classify = build_scaled(alexnet_spec(), classify_build);
+    const std::pair<const Network *, i64> suffixes[] = {
+        {&detect, detect.first_pool_index() + 1},
+        {&classify, classify.default_target_index() + 1},
+    };
+    PlanOptions topts;
+    topts.tune = true;
+    topts.tune_budget_us = 1000;
+    for (const auto &[net, begin] : suffixes) {
+        const Shape in_shape =
+            ExecutionPlan(*net, 0, begin, net->input_shape()).out_shape();
+        const ExecutionPlan plan(*net, begin, net->num_layers(), in_shape,
+                                 topts, /*max_batch=*/4);
+        std::vector<Tensor> ins;
+        for (u64 i = 0; i < 4; ++i) {
+            ins.push_back(random_tensor(in_shape, 140 + i));
+        }
+        std::vector<const Tensor *> in_ptrs;
+        for (const Tensor &t : ins) {
+            in_ptrs.push_back(&t);
+        }
+        ScratchArena arena;
+        std::vector<Tensor> alone;
+        for (const Tensor *in : in_ptrs) {
+            const Tensor *out = nullptr;
+            plan.run(&in, 1, &out, arena);
+            alone.push_back(*out);
+        }
+        for (i64 n = 2; n <= 4; ++n) {
+            const Tensor *outs[kMaxSuffixBatch] = {};
+            plan.run(in_ptrs.data(), n, outs, arena);
+            for (i64 i = 0; i < n; ++i) {
+                EXPECT_TRUE(*outs[i] == alone[static_cast<size_t>(i)])
+                    << net->name() << ": batch " << n << ", sample "
+                    << i;
+            }
+        }
     }
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for cross-stream suffix batching: BatchedExecutionPlan
- * bit-exact parity with per-sample ExecutionPlan runs (over kernels,
- * fusion, batch sizes, and layer ranges), zero steady-state
- * allocations, the SuffixBatcher's formation policy (full batches,
- * partial-batch delay dispatch, inline batch-of-1), the batch=auto
- * Engine spec, and the acceptance sweep: per-stream digests with
- * batching enabled are bit-identical to the serial AmcPipeline
- * reference across scenarios x policies x kernels.
+ * Tests for cross-stream suffix batching: ExecutionPlan runs of up to
+ * max_batch samples bit-exact against the seed Network::forward (over
+ * kernels, fusion, batch sizes, layer ranges, and the two served
+ * suffixes), zero steady-state allocations, the SuffixBatcher's
+ * formation policy (full batches, partial-batch delay dispatch,
+ * inline batch-of-1), the batch=auto Engine spec, and the acceptance
+ * sweep: per-stream digests with batching enabled are bit-identical
+ * to the serial AmcPipeline reference across scenarios x policies x
+ * kernels.
  */
 #include <gtest/gtest.h>
 
@@ -44,67 +45,89 @@ random_tensor(Shape shape, u64 seed)
 }
 
 // --------------------------------------------------------------------
-// BatchedExecutionPlan parity
+// Batched plan parity
 
 /**
- * The core bit-exactness contract: every sample of a batched run
- * equals the unbatched plan's output exactly, for every batch size,
- * kernel, and fusion setting, over both the suffix range (FC-heavy)
- * and the whole network (conv/pool/LRN-heavy).
+ * The core bit-exactness contract: every sample of a four-sample
+ * plan's run equals the seed Network::forward over the same layer
+ * range exactly, at every batch size. The oracle runs none of the
+ * plan's batched code (fresh tensors per layer, direct convs,
+ * separate ReLU passes, forward_into FCs). Swept over the suffix range
+ * (FC-heavy) and the whole network (conv/pool/LRN-heavy) under every
+ * kernel and fusion setting, and over the two served suffixes —
+ * faster16 at 96 px after its early target (fc6, fc7, cls_score,
+ * bbox_pred) and alexnet at 128 px with 2048-wide FCs — under the
+ * default kernel.
  */
 TEST(BatchedPlan, BitIdenticalToPerSampleRuns)
 {
-    Network net = small_net();
-    const i64 target = net.default_target_index();
+    const Network small = small_net();
+    ScaledBuildOptions detect_build;
+    detect_build.input = Shape{1, 96, 96};
+    const Network detect = build_scaled(faster16_spec(), detect_build);
+    ScaledBuildOptions classify_build;
+    classify_build.input = Shape{1, 128, 128};
+    classify_build.fc_dim = 2048;
+    const Network classify = build_scaled(alexnet_spec(), classify_build);
+
+    std::vector<PlanOptions> every_kernel;
+    for (const ConvKernel kernel :
+         {ConvKernel::kIm2colGemm, ConvKernel::kDirect}) {
+        for (const bool fuse : {true, false}) {
+            PlanOptions popts;
+            popts.conv_kernel = kernel;
+            popts.fuse_conv_relu = fuse;
+            every_kernel.push_back(popts);
+        }
+    }
     struct Range
     {
+        const char *label;
+        const Network *net;
         i64 begin;
-        i64 end;
-        Shape in;
+        std::vector<PlanOptions> opts;
     };
-    ExecutionPlan prefix(net, 0, target + 1, net.input_shape());
     const std::vector<Range> ranges = {
-        {target + 1, net.num_layers(), prefix.out_shape()},
-        {0, net.num_layers(), net.input_shape()},
+        {"alexnet96 suffix", &small, small.default_target_index() + 1,
+         every_kernel},
+        {"alexnet96 whole", &small, 0, every_kernel},
+        {"faster16 96px early suffix", &detect,
+         detect.first_pool_index() + 1, {PlanOptions{}}},
+        {"alexnet 128px fc2048 suffix", &classify,
+         classify.default_target_index() + 1, {PlanOptions{}}},
     };
     for (const Range &range : ranges) {
-        for (const ConvKernel kernel :
-             {ConvKernel::kIm2colGemm, ConvKernel::kDirect}) {
-            for (const bool fuse : {true, false}) {
-                PlanOptions popts;
-                popts.conv_kernel = kernel;
-                popts.fuse_conv_relu = fuse;
-                ExecutionPlan plan(net, range.begin, range.end,
-                                   range.in, popts);
-                BatchedExecutionPlan batched(plan, /*max_batch=*/4);
-                EXPECT_EQ(batched.out_shape(), plan.out_shape());
-                for (const i64 n : {1, 2, 3, 4}) {
-                    std::vector<Tensor> inputs;
-                    std::vector<const Tensor *> in_ptrs;
-                    for (i64 i = 0; i < n; ++i) {
-                        inputs.push_back(random_tensor(
-                            range.in,
-                            static_cast<u64>(1000 + i)));
-                    }
-                    for (const Tensor &t : inputs) {
-                        in_ptrs.push_back(&t);
-                    }
-                    const Tensor *outs[kMaxSuffixBatch] = {};
-                    ScratchArena batch_arena;
-                    batched.run(in_ptrs.data(), n, outs, batch_arena);
-                    for (i64 i = 0; i < n; ++i) {
-                        ScratchArena ref_arena;
-                        const Tensor &expect =
-                            plan.run(inputs[static_cast<size_t>(i)],
-                                     ref_arena);
-                        ASSERT_NE(outs[i], nullptr);
-                        EXPECT_TRUE(*outs[i] == expect)
-                            << "range [" << range.begin << ", "
-                            << range.end << "), kernel "
-                            << conv_kernel_name(kernel) << ", fuse "
-                            << fuse << ", batch " << n << ", sample "
-                            << i;
-                    }
+        const Network &net = *range.net;
+        const i64 end = net.num_layers();
+        const Shape in_shape =
+            ExecutionPlan(net, 0, range.begin, net.input_shape())
+                .out_shape();
+        std::vector<Tensor> inputs;
+        std::vector<Tensor> expect;
+        for (i64 i = 0; i < 4; ++i) {
+            inputs.push_back(
+                random_tensor(in_shape, static_cast<u64>(1000 + i)));
+            expect.push_back(net.forward(inputs.back(), range.begin, end));
+        }
+        std::vector<const Tensor *> in_ptrs;
+        for (const Tensor &t : inputs) {
+            in_ptrs.push_back(&t);
+        }
+        for (const PlanOptions &popts : range.opts) {
+            const ExecutionPlan plan(net, range.begin, end, in_shape,
+                                     popts, /*max_batch=*/4);
+            EXPECT_EQ(plan.out_shape(), expect[0].shape());
+            for (i64 n = 1; n <= 4; ++n) {
+                const Tensor *outs[kMaxSuffixBatch] = {};
+                ScratchArena arena;
+                plan.run(in_ptrs.data(), n, outs, arena);
+                for (i64 i = 0; i < n; ++i) {
+                    ASSERT_NE(outs[i], nullptr);
+                    EXPECT_TRUE(*outs[i] == expect[static_cast<size_t>(i)])
+                        << range.label << ", kernel "
+                        << conv_kernel_name(popts.conv_kernel) << ", fuse "
+                        << popts.fuse_conv_relu << ", batch " << n
+                        << ", sample " << i;
                 }
             }
         }
@@ -114,11 +137,10 @@ TEST(BatchedPlan, BitIdenticalToPerSampleRuns)
 TEST(BatchedPlan, EmptyRangeReturnsInputs)
 {
     Network net = small_net();
-    BatchedExecutionPlan batched(net, 2, 2,
-                                 ExecutionPlan(net, 0, 2,
-                                               net.input_shape())
-                                     .out_shape(),
-                                 /*max_batch=*/2);
+    ExecutionPlan batched(net, 2, 2,
+                          ExecutionPlan(net, 0, 2, net.input_shape())
+                              .out_shape(),
+                          PlanOptions{}, /*max_batch=*/2);
     const Tensor a = random_tensor(batched.in_shape(), 7);
     const Tensor b = random_tensor(batched.in_shape(), 8);
     const Tensor *ins[2] = {&a, &b};
@@ -132,15 +154,15 @@ TEST(BatchedPlan, EmptyRangeReturnsInputs)
 TEST(BatchedPlan, RejectsBadBatchAndShapes)
 {
     Network net = small_net();
-    EXPECT_THROW(BatchedExecutionPlan(net, 0, net.num_layers(),
-                                      net.input_shape(), 0),
+    EXPECT_THROW(ExecutionPlan(net, 0, net.num_layers(),
+                               net.input_shape(), PlanOptions{}, 0),
                  ConfigError);
-    EXPECT_THROW(BatchedExecutionPlan(net, 0, net.num_layers(),
-                                      net.input_shape(),
-                                      kMaxSuffixBatch + 1),
+    EXPECT_THROW(ExecutionPlan(net, 0, net.num_layers(),
+                               net.input_shape(), PlanOptions{},
+                               kMaxSuffixBatch + 1),
                  ConfigError);
-    BatchedExecutionPlan batched(net, 0, net.num_layers(),
-                                 net.input_shape(), 2);
+    ExecutionPlan batched(net, 0, net.num_layers(), net.input_shape(),
+                          PlanOptions{}, 2);
     const Tensor good = random_tensor(net.input_shape(), 1);
     const Tensor bad = random_tensor(Shape{1, 8, 8}, 2);
     const Tensor *outs[2] = {};
@@ -168,7 +190,7 @@ TEST(BatchedPlan, ZeroSteadyStateAllocations)
     ExecutionPlan prefix(net, 0, target + 1, net.input_shape());
     ExecutionPlan suffix(net, target + 1, net.num_layers(),
                          prefix.out_shape());
-    BatchedExecutionPlan batched(suffix, /*max_batch=*/4);
+    ExecutionPlan batched(suffix, /*max_batch=*/4);
     std::vector<Tensor> inputs;
     for (i64 i = 0; i < 4; ++i) {
         inputs.push_back(random_tensor(suffix.in_shape(),
@@ -217,7 +239,7 @@ TEST(SuffixBatcher, FullBatchesDispatchAndMatchUnbatched)
 {
     Network net = small_net();
     ExecutionPlan full(net);
-    BatchedExecutionPlan batched(full, /*max_batch=*/2);
+    ExecutionPlan batched(full, /*max_batch=*/2);
     ThreadPool pool(2);
     SuffixBatchOptions opts;
     opts.enabled = true;
@@ -248,7 +270,7 @@ TEST(SuffixBatcher, PartialBatchDispatchesByDelayTimer)
 {
     Network net = small_net();
     ExecutionPlan full(net);
-    BatchedExecutionPlan batched(full, /*max_batch=*/8);
+    ExecutionPlan batched(full, /*max_batch=*/8);
     ThreadPool pool(2);
     SuffixBatchOptions opts;
     opts.enabled = true;
@@ -283,7 +305,7 @@ TEST(SuffixBatcher, InlineModeRunsBatchOfOne)
 {
     Network net = small_net();
     ExecutionPlan full(net);
-    BatchedExecutionPlan batched(full, /*max_batch=*/4);
+    ExecutionPlan batched(full, /*max_batch=*/4);
     SuffixBatchOptions opts;
     opts.enabled = true;
     opts.max_batch = 4;
