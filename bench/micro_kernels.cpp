@@ -185,34 +185,41 @@ conv_shape_input(const ConvShape &s)
 }
 
 void
-conv_bench(benchmark::State &state, ConvKernel kernel)
-{
-    const ConvShape &shape = kConvShapes[state.range(0)];
-    const Network net = conv_shape_net(shape);
-    const Tensor in = conv_shape_input(shape);
-    PlanOptions opts;
-    opts.conv_kernel = kernel;
-    const ExecutionPlan plan(net, opts);
-    ScratchArena arena;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(&plan.run(in, arena));
-    }
-    state.SetLabel(shape.label);
-    state.SetItemsProcessed(state.iterations() *
-                            net.layer_macs(0));
-}
-
-void
 BM_ConvDirect(benchmark::State &state)
 {
-    conv_bench(state, ConvKernel::kDirect);
+    // The seed kernel Network::forward runs, into a pre-shaped output.
+    const ConvShape &shape = kConvShapes[state.range(0)];
+    const Network net = conv_shape_net(shape);
+    const auto &conv = static_cast<const ConvLayer &>(net.layer(0));
+    const ConvGeometry g{shape.in_c, shape.out_c, shape.kernel,
+                         shape.stride, shape.pad};
+    const Tensor in = conv_shape_input(shape);
+    Tensor out(conv.out_shape(in.shape()));
+    for (auto _ : state) {
+        conv_direct(in, g, conv.weights().data(), conv.biases().data(),
+                    out);
+        benchmark::DoNotOptimize(out.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(shape.label);
+    state.SetItemsProcessed(state.iterations() * net.layer_macs(0));
 }
 BENCHMARK(BM_ConvDirect)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 void
 BM_ConvIm2colGemm(benchmark::State &state)
 {
-    conv_bench(state, ConvKernel::kIm2colGemm);
+    // The conv as a compiled plan runs it.
+    const ConvShape &shape = kConvShapes[state.range(0)];
+    const Network net = conv_shape_net(shape);
+    const Tensor in = conv_shape_input(shape);
+    const ExecutionPlan plan(net);
+    ScratchArena arena;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(&plan.run(in, arena));
+    }
+    state.SetLabel(shape.label);
+    state.SetItemsProcessed(state.iterations() * net.layer_macs(0));
 }
 BENCHMARK(BM_ConvIm2colGemm)
     ->DenseRange(0, 2)
@@ -265,7 +272,6 @@ conv_tuned_bench(benchmark::State &state, const ConvShape &shape)
     const Network net = conv_shape_net(shape);
     const Tensor in = conv_shape_input(shape);
     PlanOptions opts;
-    opts.conv_kernel = ConvKernel::kIm2colGemm;
     opts.tune = true;
     const ExecutionPlan plan(net, opts);
     ScratchArena arena;
@@ -429,11 +435,11 @@ void
 rfbme_tile_row_bench(benchmark::State &state, i64 s, bool simd)
 {
     // The interior-dominated producer kernel itself: full tile rows
-    // on a 192px-wide frame, no border clipping — the workload
-    // `tune_rfbme_tile` races and the shape the SIMD >= 2x CI gate
-    // holds. End-to-end rfbme/<variant>/<shape> rows above dilute the
-    // kernel with the shared (variant-independent) prefix-sum and
-    // min-search stages.
+    // on a 192px-wide frame, no border clipping — the work RFBME's
+    // default SIMD producer speeds up and the shape the SIMD >= 2x CI
+    // gate holds. End-to-end rfbme/<variant>/<shape> rows above
+    // dilute the kernel with the shared (variant-independent)
+    // prefix-sum and min-search stages.
     const i64 w = 192;
     const i64 tiles = w / s;
     const i64 rows = 64;

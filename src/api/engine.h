@@ -87,10 +87,9 @@ struct EngineConfig
     /**
      * CNN execution kernel spec (KernelRegistry): how the compiled
      * plans run the network. `gemm` (im2col + blocked GEMM, fused
-     * conv+ReLU) is bit-identical to `direct` (the seed reference)
-     * and roughly twice as fast on serving shapes. `tuned` is `gemm`
-     * with per-shape autotuned SIMD kernels: faster, but
-     * bounded-divergence rather than bit-exact.
+     * conv+ReLU) is bit-identical to the seed Network::forward.
+     * `tuned` is `gemm` with per-shape autotuned SIMD GEMM and FC
+     * kernels: faster, but bounded-divergence rather than bit-exact.
      */
     std::string kernel = "gemm";
     /** AMC target layer: "last_spatial", "early", or "layer:<i>". */

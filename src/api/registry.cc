@@ -272,15 +272,7 @@ KernelRegistry::KernelRegistry()
 {
     add("gemm", [](const ComponentSpec &spec, PlanOptions &plan) {
         spec.allow_only({});
-        plan.conv_kernel = ConvKernel::kIm2colGemm;
-        plan.fuse_conv_relu = true;
-    });
-    add("direct", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({});
-        plan.conv_kernel = ConvKernel::kDirect;
-        // The reference configuration mirrors the seed exactly: a
-        // separate ReLU pass after every conv.
-        plan.fuse_conv_relu = false;
+        plan.tune = false;
     });
     // gemm + per-shape autotuning over the SIMD micro-kernel variants
     // (kernel_tuner.h). The tuned kernels are bounded-divergence vs
@@ -289,8 +281,6 @@ KernelRegistry::KernelRegistry()
     // SIMD is unsupported on the running machine.
     add("tuned", [](const ComponentSpec &spec, PlanOptions &plan) {
         spec.allow_only({"budget_us"});
-        plan.conv_kernel = ConvKernel::kIm2colGemm;
-        plan.fuse_conv_relu = true;
         plan.tune = true;
         plan.tune_budget_us = spec.integer("budget_us", 20000);
         require(plan.tune_budget_us > 0,

@@ -138,11 +138,8 @@ class InterpRegistry
  *
  * Built-ins:
  *   `gemm`                 im2col + blocked-GEMM convolutions with
- *                          conv+ReLU fusion (bit-identical to direct;
- *                          the default).
- *   `direct`               the seed's direct convolution loop and
- *                          separate ReLU pass — the bit-exactness
- *                          reference.
+ *                          conv+ReLU fusion, bit-identical to the
+ *                          seed Network::forward (the default).
  *   `tuned[:budget_us=N]`  gemm with per-shape autotuned SIMD GEMM
  *                          and FC kernels (N µs per tuning contest,
  *                          default 20000); bounded-divergence, not

@@ -140,8 +140,7 @@ gemm_strip_scalar(const float *weights, const float *biases,
 
 void
 conv_direct(const Tensor &in, const ConvGeometry &g,
-            const float *weights, const float *biases, Tensor &out,
-            bool fuse_relu)
+            const float *weights, const float *biases, Tensor &out)
 {
     const Shape os = out.shape();
     const i64 ih = in.height();
@@ -174,8 +173,7 @@ conv_direct(const Tensor &in, const ConvGeometry &g,
                         }
                     }
                 }
-                out.at(oc, oy, ox) =
-                    fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
+                out.at(oc, oy, ox) = acc;
             }
         }
     });

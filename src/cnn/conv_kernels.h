@@ -1,14 +1,13 @@
 /**
  * @file
- * The convolution kernel implementations ExecutionPlan selects from.
- *
- * Two kernels compute the same layer:
+ * The two convolution kernels.
  *
  *  - conv_direct: the seed's nested-loop convolution, kept verbatim
- *    as the bit-exactness reference.
- *  - conv_im2col_gemm: packs input patches into a K x N column matrix
- *    (K = in_c * kernel^2 taps, N = output pixels) and multiplies by
- *    the [out_c x K] weight matrix with an N-tiled GEMM. Tiles keep a
+ *    as the bit-exactness reference behind Network::forward.
+ *  - conv_im2col_gemm: what ExecutionPlan runs for every conv. It
+ *    packs input patches into a K x N column matrix (K = in_c *
+ *    kernel^2 taps, N = output pixels) and multiplies by the
+ *    [out_c x K] weight matrix with an N-tiled GEMM. Tiles keep a
  *    strip of the packed matrix hot in cache while every output
  *    channel consumes it, and the per-tile accumulator array
  *    vectorizes without reassociation.
@@ -18,7 +17,7 @@
  * a single float accumulator — the GEMM tiles only regroup *which*
  * outputs are computed together, never the per-output order — so
  * their results are bit-identical (padding taps contribute exact
- * zeros). The optional fused ReLU writes max(acc, 0), which is
+ * zeros). The GEMM's optional fused ReLU writes max(acc, 0), which is
  * bit-identical to a separate ReLU pass.
  *
  * Both kernels parallelize over disjoint output regions with the
@@ -56,8 +55,7 @@ im2col_rows(const ConvGeometry &g)
  * `biases` is [out_c].
  */
 void conv_direct(const Tensor &in, const ConvGeometry &g,
-                 const float *weights, const float *biases, Tensor &out,
-                 bool fuse_relu);
+                 const float *weights, const float *biases, Tensor &out);
 
 /**
  * The scalar blocked GEMM over one column strip [j0, j0+jn): the

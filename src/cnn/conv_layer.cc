@@ -39,22 +39,13 @@ ConvLayer::macs(const Shape &in) const
 Tensor
 ConvLayer::forward(const Tensor &in) const
 {
-    // The plain-forward path is the seed reference: direct kernel,
-    // no fusion.
+    // The plain-forward path is the seed reference: the direct
+    // kernel. ExecutionPlan runs convs itself, over every sample of a
+    // run at once (conv_im2col_gemm).
     Tensor out(out_shape(in.shape()));
     conv_direct(in, {in_c_, out_c_, kernel_, stride_, pad_},
-                weights_.data(), biases_.data(), out,
-                /*fuse_relu=*/false);
+                weights_.data(), biases_.data(), out);
     return out;
-}
-
-void
-ConvLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
-{
-    // The direct kernel; ExecutionPlan runs GEMM convs itself, over
-    // every sample of a run at once (conv_im2col_gemm).
-    conv_direct(in, {in_c_, out_c_, kernel_, stride_, pad_},
-                weights_.data(), biases_.data(), *ctx.out, ctx.fuse_relu);
 }
 
 } // namespace eva2

@@ -12,13 +12,10 @@ namespace {
 
 /** Human-readable variant for one compiled step (reports). */
 std::string
-step_variant(const Layer &layer, ConvKernel kernel,
-             GemmVariant conv_variant, bool simd_fc)
+step_variant(const Layer &layer, GemmVariant conv_variant, bool simd_fc)
 {
     if (layer.kind() == LayerKind::kConv) {
-        return kernel == ConvKernel::kIm2colGemm
-                   ? gemm_variant_name(conv_variant)
-                   : "";
+        return gemm_variant_name(conv_variant);
     }
     if (layer.kind() == LayerKind::kFc) {
         return simd_fc ? "simd" : "scalar";
@@ -57,27 +54,24 @@ ExecutionPlan::ExecutionPlan(const Network &net, i64 begin, i64 end,
         step.out_shape = layer.out_shape(s);
         step.parity = parity;
         if (layer.kind() == LayerKind::kConv) {
-            step.conv_kernel = opts.conv_kernel;
-            if (opts.fuse_conv_relu && i + 1 < end &&
+            if (i + 1 < end &&
                 net.layer(i + 1).kind() == LayerKind::kRelu) {
                 // ReLU preserves shape, so the fused step's output
                 // shape is the conv's.
                 step.fuse_relu = true;
                 ++i;
             }
-            if (step.conv_kernel == ConvKernel::kIm2colGemm) {
-                const WindowGeometry g = layer.geometry();
-                step.conv = ConvGeometry{s.c, step.out_shape.c, g.kernel,
-                                         g.stride, g.pad};
-                if (opts.tune) {
-                    // After the fuse decision: fusion is part of the
-                    // tuning key (it changes the kernel's epilogue).
-                    // The contest runs on the per-sample shape, so
-                    // every max_batch agrees on one variant.
-                    step.conv_variant = tune_conv_gemm(
-                        step.conv, step.out_shape.h, step.out_shape.w,
-                        step.fuse_relu, opts.tune_budget_us);
-                }
+            const WindowGeometry g = layer.geometry();
+            step.conv = ConvGeometry{s.c, step.out_shape.c, g.kernel,
+                                     g.stride, g.pad};
+            if (opts.tune) {
+                // After the fuse decision: fusion is part of the
+                // tuning key (it changes the kernel's epilogue). The
+                // contest runs on the per-sample shape, so every
+                // max_batch agrees on one variant.
+                step.conv_variant = tune_conv_gemm(
+                    step.conv, step.out_shape.h, step.out_shape.w,
+                    step.fuse_relu, opts.tune_budget_us);
             }
         } else if (layer.kind() == LayerKind::kFc) {
             step.batched_fc = max_batch > 1;
@@ -131,7 +125,7 @@ ExecutionPlan::run(const Tensor *const *inputs, i64 n, const Tensor **outs,
             louts[i] = &arena.slot(lane_slot(i, step.parity ^ flip[i]),
                                    step.out_shape);
         }
-        if (step.conv_kernel == ConvKernel::kIm2colGemm) {
+        if (step.layer->kind() == LayerKind::kConv) {
             const auto *conv = static_cast<const ConvLayer *>(step.layer);
             const i64 cols = n * step.out_shape.h * step.out_shape.w;
             Tensor &col = arena.slot(
@@ -145,11 +139,10 @@ ExecutionPlan::run(const Tensor *const *inputs, i64 n, const Tensor **outs,
                              step.fuse_relu, step.conv_variant);
         } else if (step.batched_fc) {
             static_cast<const FcLayer *>(step.layer)->forward_batched(
-                cur, n, louts, step.fuse_relu, step.simd_fc);
+                cur, n, louts, step.simd_fc);
         } else {
             ForwardCtx ctx;
             ctx.simd_fc = step.simd_fc;
-            ctx.fuse_relu = step.fuse_relu;
             for (i64 i = 0; i < n; ++i) {
                 ctx.out = louts[i];
                 step.layer->forward_into(*cur[i], ctx);
@@ -187,10 +180,10 @@ ExecutionPlan::describe() const
                          ? layer_kind_name(step.layer->kind())
                          : step.layer->name();
         info.kernel = step.layer->kind() == LayerKind::kConv
-                          ? conv_kernel_name(step.conv_kernel)
+                          ? "im2col_gemm"
                           : layer_kind_name(step.layer->kind());
-        info.variant = step_variant(*step.layer, step.conv_kernel,
-                                    step.conv_variant, step.simd_fc);
+        info.variant =
+            step_variant(*step.layer, step.conv_variant, step.simd_fc);
         info.fused_relu = step.fuse_relu;
         info.out = step.out_shape;
         out.push_back(std::move(info));

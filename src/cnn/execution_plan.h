@@ -13,10 +13,10 @@
  *    ScratchArena (ping-pong between two slots, since each layer
  *    only reads its immediate predecessor), so steady-state frames
  *    allocate nothing;
- *  - a kernel is chosen per layer — convolutions run the im2col +
- *    blocked-GEMM kernel by default (bit-identical to the seed's
- *    direct loop, see conv_kernels.h), optionally fusing a following
- *    ReLU into the conv's output write.
+ *  - convolutions run the im2col + blocked-GEMM kernel
+ *    (bit-identical to the seed's direct loop, see conv_kernels.h),
+ *    and a ReLU that directly follows a conv is fused into the
+ *    conv's output write.
  *
  * A plan may also be compiled for up to `max_batch` same-shape
  * inputs per run: the cross-stream suffix batcher executes many
@@ -65,14 +65,6 @@ namespace eva2 {
 /** Compilation knobs for ExecutionPlan. */
 struct PlanOptions
 {
-    /** Convolution kernel to select for conv layers. */
-    ConvKernel conv_kernel = ConvKernel::kIm2colGemm;
-    /**
-     * Fold each ReLU that immediately follows a conv into the conv's
-     * output write, eliding the ReLU pass and one buffer swap.
-     * Bit-identical to the separate pass.
-     */
-    bool fuse_conv_relu = true;
     /**
      * Autotune kernels per layer shape (the `kernel=tuned` registry
      * spec): at compile time every conv layer's GEMM micro-kernel
@@ -93,14 +85,15 @@ struct PlanStepInfo
 {
     i64 layer_index = 0;  ///< Index in the source network.
     std::string layer;    ///< Layer report name.
-    std::string kernel;   ///< Selected kernel name.
+    /** Kernel name: "im2col_gemm" for convs, else the layer kind. */
+    std::string kernel;
     /**
      * Chosen micro-kernel variant: the GEMM register tile for gemm
      * convs ("scalar", "mr2xnv4", ...), "simd"/"scalar" for FC
      * layers, empty for steps with no variant dimension.
      */
     std::string variant;
-    bool fused_relu = false;
+    bool fused_relu = false; ///< A conv with its next-layer ReLU.
     Shape out;            ///< Pre-resolved output shape.
 };
 
@@ -195,10 +188,8 @@ class ExecutionPlan
         const Layer *layer = nullptr;
         i64 layer_index = 0;
         Shape out_shape;
-        /** kIm2colGemm marks a GEMM conv step (run by the plan
-         * itself, over every sample at once). */
-        ConvKernel conv_kernel = ConvKernel::kDirect;
-        /** The GEMM conv's geometry (GEMM conv steps only). */
+        /** The conv's geometry (conv steps only: the plan runs each
+         * conv as one GEMM over every sample of a run). */
         ConvGeometry conv;
         /** Tuner-picked GEMM variant (kScalar unless opts.tune). */
         GemmVariant conv_variant = GemmVariant::kScalar;
@@ -207,6 +198,7 @@ class ExecutionPlan
         /** FC step run by FcLayer::forward_batched: fixed at compile
          * time by max_batch > 1, never by a run's n. */
         bool batched_fc = false;
+        /** Conv step whose next-layer ReLU it absorbed. */
         bool fuse_relu = false;
         i64 parity = 0; ///< Lane ping-pong side this step writes.
     };

@@ -96,7 +96,6 @@ FcLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
     Tensor &out = *ctx.out;
     Span<const float> x = in.data();
-    const bool fuse_relu = ctx.fuse_relu;
     const bool simd = ctx.simd_fc;
     // Output neurons are independent and write disjoint elements, so
     // the split is bit-identical to the serial loop (same per-neuron
@@ -119,15 +118,14 @@ FcLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
                     acc += w[i] * x[static_cast<size_t>(i)];
                 }
             }
-            out[o] = fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
+            out[o] = acc;
         },
         ParallelForOptions{/*grain=*/8, /*pool=*/nullptr});
 }
 
 void
 FcLayer::forward_batched(const Tensor *const *ins, i64 nb,
-                         Tensor *const *outs, bool fuse_relu,
-                         bool simd) const
+                         Tensor *const *outs, bool simd) const
 {
     require(nb >= 1 && nb <= kMaxSuffixBatch,
             "fc: batch must be in [1, " +
@@ -165,9 +163,7 @@ FcLayer::forward_batched(const Tensor *const *ins, i64 nb,
                                         acc);
                 }
                 for (i64 s = 0; s < blk; ++s) {
-                    (*outs[s0 + s])[o] =
-                        fuse_relu ? (acc[s] > 0.0f ? acc[s] : 0.0f)
-                                  : acc[s];
+                    (*outs[s0 + s])[o] = acc[s];
                 }
             }
         },

@@ -48,8 +48,7 @@ class FcLayer : public Layer
      * bounded divergence vs the scalar chains, never bit-exact.
      */
     void forward_batched(const Tensor *const *ins, i64 nb,
-                         Tensor *const *outs, bool fuse_relu,
-                         bool simd = false) const;
+                         Tensor *const *outs, bool simd = false) const;
 
     Shape out_shape(const Shape &in) const override;
     LayerKind kind() const override { return LayerKind::kFc; }

@@ -20,6 +20,11 @@
  * (timing noise); that is exactly why tuned kernels are gated by the
  * bounded-divergence check rather than bit-equality
  * (docs/simd_kernels.md).
+ *
+ * Only these bounded-divergence kernels are raced. Where a SIMD
+ * kernel is bit-identical to its scalar twin (ReLU, the warp apply,
+ * the RFBME diff tiles), the code takes it whenever
+ * simd_supported(), with no contest.
  */
 #ifndef EVA2_CNN_KERNEL_TUNER_H
 #define EVA2_CNN_KERNEL_TUNER_H
@@ -34,8 +39,6 @@
 #include "util/mutex.h"
 
 namespace eva2 {
-
-enum class RfbmeVariant : i64; // flow/rfbme.h
 
 /** One candidate implementation in a tuning contest. */
 struct TuneCandidate
@@ -106,17 +109,6 @@ GemmVariant tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
  * FC shape. False when SIMD is unsupported.
  */
 bool tune_fc_simd(i64 in_dim, i64 out_dim, i64 budget_us);
-
-/**
- * Tuned RFBME diff-tile producer for tile width `rf_stride` (the
- * contest key is `rfbme_tile/<s>x<s>`): kScalar when SIMD is
- * unsupported, otherwise whichever of the scalar and SIMD
- * fixed-stripe SAD row kernels wins on a synthetic interior tile-row
- * workload of the real tile width. The variants are bit-exact
- * (flow/sad_kernels.h), so the pick affects time only, never output
- * — no divergence gate needed.
- */
-RfbmeVariant tune_rfbme_tile(i64 rf_stride, i64 budget_us);
 
 } // namespace eva2
 

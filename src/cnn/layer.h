@@ -45,17 +45,6 @@ struct WindowGeometry
     i64 pad = 0;
 };
 
-/** Selectable convolution kernels (ExecutionPlan picks per layer). */
-enum class ConvKernel
-{
-    kDirect,     ///< The seed's direct loop: the bit-exactness reference.
-    kIm2colGemm, ///< im2col packing + blocked GEMM (same accumulation
-                 ///< order per output element, so bit-identical).
-};
-
-/** Printable name of a conv kernel. */
-const char *conv_kernel_name(ConvKernel kernel);
-
 /**
  * Hard upper bound on batched layer execution (an ExecutionPlan's
  * max_batch, hence the cross-stream suffix batch size, and the
@@ -78,11 +67,6 @@ struct ForwardCtx
     /** Destination, already shaped to out_shape(in.shape()). */
     Tensor *out = nullptr;
     /**
-     * Fold the following ReLU into this layer (plans set this when
-     * they elide the ReLU step): the kernel writes max(acc, 0).
-     */
-    bool fuse_relu = false;
-    /**
      * Run FC layers through the SIMD dot kernel (tuner-selected, see
      * kernel_tuner.h). Bounded-divergence; requires simd_supported().
      */
@@ -104,20 +88,15 @@ class Layer
 
     /**
      * Run the layer into caller-owned storage (see ForwardCtx). The
-     * built-in layers overwrite *ctx.out without allocating; this
-     * default covers external subclasses by falling back to
+     * built-in pointwise, pool and FC layers overwrite *ctx.out
+     * without allocating; this default covers the rest (ExecutionPlan
+     * runs convs itself, see conv_kernels.h) by falling back to
      * forward(). `in` and `*ctx.out` must not alias.
      */
     virtual void
     forward_into(const Tensor &in, const ForwardCtx &ctx) const
     {
         *ctx.out = forward(in);
-        if (ctx.fuse_relu) {
-            Tensor &out = *ctx.out;
-            for (i64 i = 0; i < out.size(); ++i) {
-                out[i] = out[i] > 0.0f ? out[i] : 0.0f;
-            }
-        }
     }
 
     /** Output shape for a given input shape (without executing). */

@@ -127,18 +127,6 @@ Network::find_layer(const std::string &name) const
 }
 
 const char *
-conv_kernel_name(ConvKernel kernel)
-{
-    switch (kernel) {
-      case ConvKernel::kDirect:
-        return "direct";
-      case ConvKernel::kIm2colGemm:
-        return "im2col_gemm";
-    }
-    return "unknown";
-}
-
-const char *
 layer_kind_name(LayerKind kind)
 {
     switch (kind) {

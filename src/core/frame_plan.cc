@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cnn/kernel_tuner.h"
+#include "simd/simd_kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace eva2 {
@@ -95,21 +95,15 @@ FramePlan::FramePlan(const Network &net,
     rfbme_config_.rf_pad = target_rf_.pad;
     rfbme_config_.search_radius = opts.search_radius;
     rfbme_config_.search_stride = opts.search_stride;
-    if (opts_.plan.tune) {
-        // Race the diff-tile producers at plan-compile time like the
-        // conv/FC kernels. The variants are bit-identical, so the
-        // pick never perturbs digests or the add_ops account.
-        rfbme_config_.variant = tune_rfbme_tile(
-            rfbme_config_.rf_stride, opts_.plan.tune_budget_us);
-    }
 }
 
 std::vector<PlanRecord>
 FramePlan::plan_records() const
 {
-    // The motion front end reports its compiled kernel choice like
-    // the CNN steps do: one step whose kernel is the tuner contest
-    // key and whose variant is the raced winner.
+    // The motion front end reports its kernel like the CNN steps do:
+    // one step whose kernel names the diff-tile size and whose
+    // variant is the producer that runs (kSimd runs the scalar
+    // kernels where SIMD is unsupported).
     const Shape in = net_->input_shape();
     PlanStepInfo me;
     me.layer_index = -1;
@@ -117,7 +111,8 @@ FramePlan::plan_records() const
     me.kernel = "rfbme_tile/" +
                 std::to_string(rfbme_config_.rf_stride) + "x" +
                 std::to_string(rfbme_config_.rf_stride);
-    me.variant = rfbme_variant_name(rfbme_config_.variant);
+    me.variant = rfbme_variant_name(
+        simd_supported() ? rfbme_config_.variant : RfbmeVariant::kScalar);
     me.fused_relu = false;
     me.out = Shape{2, rfbme_out_size(in.h, rfbme_config_),
                    rfbme_out_size(in.w, rfbme_config_)};

@@ -110,9 +110,9 @@ struct AmcOptions
      */
     double storage_prune_rel = 0.12;
     /**
-     * CNN execution plan compilation options (kernel selection,
-     * conv+ReLU fusion). The default — im2col/blocked-GEMM convs
-     * with fusion — is bit-identical to the seed direct path.
+     * CNN execution plan compilation options (per-shape kernel
+     * tuning). Untuned plans — im2col/blocked-GEMM convs with fused
+     * ReLU — are bit-identical to the seed direct path.
      */
     PlanOptions plan;
 

@@ -1,12 +1,10 @@
+// eva2-lint: hot-path
 #include "core/warp.h"
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "cnn/kernel_tuner.h"
 #include "simd/simd_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/fixed_point.h"
@@ -85,11 +83,15 @@ apply_nearest_scalar(const float *plane, const WarpWorkspace &ws,
     }
 }
 
+/**
+ * Apply one plane's bilinear warp: the SIMD kernel whenever the CPU
+ * has it (bit-identical to the scalar loop), else the scalar loop.
+ */
 void
 apply_bilinear(const float *plane, const WarpWorkspace &ws, i64 n,
-               float *out, bool simd)
+               float *out)
 {
-    if (simd) {
+    if (simd_supported()) {
         warp_apply_bilinear_simd(
             plane, ws.o00.data(), ws.o01.data(), ws.o10.data(),
             ws.o11.data(), ws.k00.data(), ws.k01.data(), ws.k10.data(),
@@ -102,9 +104,9 @@ apply_bilinear(const float *plane, const WarpWorkspace &ws, i64 n,
 
 void
 apply_nearest(const float *plane, const WarpWorkspace &ws, i64 n,
-              float *out, bool simd)
+              float *out)
 {
-    if (simd) {
+    if (simd_supported()) {
         warp_apply_nearest_simd(plane, ws.off.data(), n, out);
     } else {
         apply_nearest_scalar(plane, ws, n, out);
@@ -175,64 +177,6 @@ build_bilinear_coeffs(const MotionField &field, i64 h, i64 w,
     }
 }
 
-/**
- * Per-shape scalar-vs-SIMD contest for the RLE-direct apply, run once
- * per (mode, h, w) per process via KernelTuner and memoized per
- * thread so steady-state warps never touch the tuner's global lock.
- * Both candidates are bit-exact (same expression tree), so the pick
- * only moves time, never values. Uses whatever is resident in the
- * thread's coefficient arrays and expansion plane — real geometry,
- * representative data.
- */
-bool
-rle_apply_use_simd(InterpMode mode, i64 h, i64 w,
-                   const WarpWorkspace &ws)
-{
-    if (!simd_supported()) {
-        return false;
-    }
-    const std::string key =
-        std::string("warp_rle/") +
-        (mode == InterpMode::kBilinear ? "bilinear" : "nearest") + "/" +
-        std::to_string(h) + "x" + std::to_string(w);
-    thread_local std::map<std::string, bool> memo;
-    const auto it = memo.find(key);
-    if (it != memo.end()) {
-        return it->second;
-    }
-    const i64 n = h * w;
-    thread_local std::vector<float> tune_out;
-    tune_out.resize(static_cast<size_t>(n));
-    std::vector<TuneCandidate> candidates;
-    if (mode == InterpMode::kBilinear) {
-        candidates.push_back(TuneCandidate{
-            "scalar", 0, [&ws, n] {
-                apply_bilinear(ws.plane.data(), ws, n, tune_out.data(),
-                               false);
-            }});
-        candidates.push_back(TuneCandidate{
-            simd_isa_name(), 1, [&ws, n] {
-                apply_bilinear(ws.plane.data(), ws, n, tune_out.data(),
-                               true);
-            }});
-    } else {
-        candidates.push_back(TuneCandidate{
-            "scalar", 0, [&ws, n] {
-                apply_nearest(ws.plane.data(), ws, n, tune_out.data(),
-                              false);
-            }});
-        candidates.push_back(TuneCandidate{
-            simd_isa_name(), 1, [&ws, n] {
-                apply_nearest(ws.plane.data(), ws, n, tune_out.data(),
-                              true);
-            }});
-    }
-    const bool simd =
-        KernelTuner::instance().pick(key, candidates, 2000).id == 1;
-    memo.emplace(key, simd);
-    return simd;
-}
-
 } // namespace
 
 void
@@ -282,19 +226,18 @@ warp_activation_into(const Tensor &key_activation,
     out.reshape_to(key_activation.shape());
 
     WarpWorkspace &ws = workspace();
-    const bool simd = simd_supported();
     if (mode == InterpMode::kNearest) {
         build_nearest_coeffs(field, h, w, inv_stride, ws);
         for (i64 c = 0; c < c_count; ++c) {
             apply_nearest(key_activation.channel(c).data(), ws, n,
-                          out.data().data() + c * n, simd);
+                          out.data().data() + c * n);
         }
         return;
     }
     build_bilinear_coeffs(field, h, w, inv_stride, ws);
     for (i64 c = 0; c < c_count; ++c) {
         apply_bilinear(key_activation.channel(c).data(), ws, n,
-                       out.data().data() + c * n, simd);
+                       out.data().data() + c * n);
     }
 }
 
@@ -324,7 +267,6 @@ warp_activation_rle_into(const RleActivation &key,
         build_bilinear_coeffs(field, h, w, inv_stride, ws);
     }
     ws.plane.resize(static_cast<size_t>(n));
-    const bool simd = rle_apply_use_simd(mode, h, w, ws);
     for (i64 c = 0; c < c_count; ++c) {
         const RleChannel &ch = key.channels[static_cast<size_t>(c)];
         invariant(ch.dense_length == n,
@@ -356,9 +298,9 @@ warp_activation_rle_into(const RleActivation &key,
             }
         }
         if (mode == InterpMode::kNearest) {
-            apply_nearest(ws.plane.data(), ws, n, dst, simd);
+            apply_nearest(ws.plane.data(), ws, n, dst);
         } else {
-            apply_bilinear(ws.plane.data(), ws, n, dst, simd);
+            apply_bilinear(ws.plane.data(), ws, n, dst);
         }
     }
 }

@@ -65,10 +65,10 @@ void warp_activation_into(const Tensor &key_activation,
  * and write an exact +0.0 plane. Bit-identical to
  * warp_activation_into(rle_decode(key), ...) by construction.
  *
- * The per-shape choice between the scalar and SIMD apply kernels is
- * made by KernelTuner (key "warp_rle/<mode>/<h>x<w>"); both
- * candidates are in the bit-exact kernel class (docs/simd_kernels.md),
- * so the pick never affects digests.
+ * Like warp_activation_into, it runs the SIMD apply kernels whenever
+ * simd_supported(); they are in the bit-exact kernel class
+ * (docs/simd_kernels.md), so the choice never affects digests. Warm
+ * calls make no heap allocation.
  */
 void warp_activation_rle_into(const RleActivation &key,
                               const MotionField &field, i64 rf_stride,

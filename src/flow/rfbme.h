@@ -31,9 +31,10 @@ namespace eva2 {
  * Diff-tile producer implementation. Both variants follow the
  * fixed-stripe SAD contract of flow/sad_kernels.h for interior tiles
  * and share the guarded per-pixel loop for border tiles, so they are
- * bit-identical on every input — the kernel tuner races them freely
- * without perturbing digests or the `add_ops` account. kSimd falls
- * back to the scalar kernels when simd_supported() is false.
+ * bit-identical on every input: the choice moves neither digests nor
+ * the `add_ops` account. kSimd (the default) falls back to the scalar
+ * kernels when simd_supported() is false; kScalar exists so the
+ * parity tests and the scalar bench rows can force the oracle.
  */
 enum class RfbmeVariant : i64
 {
@@ -54,7 +55,7 @@ struct RfbmeConfig
     i64 search_stride = 2;  ///< Offset grid step, in pixels.
 
     /** Diff-tile producer; variants are bit-identical (see above). */
-    RfbmeVariant variant = RfbmeVariant::kScalar;
+    RfbmeVariant variant = RfbmeVariant::kSimd;
 };
 
 /** Output of an RFBME run. */

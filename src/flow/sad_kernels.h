@@ -16,8 +16,9 @@
  * e0+e1, n=4 exactly (e0+e1)+(e2+e3)). The SIMD implementations in
  * src/simd/simd_kernels.h follow the same operation sequence lane for
  * lane, so every variant is bit-identical on every input — which is
- * what lets the kernel tuner race them without perturbing end-to-end
- * digests or the per-frame `add_ops` account.
+ * what lets RFBME and block matching run the SIMD kernels whenever
+ * simd_supported(), without perturbing end-to-end digests or the
+ * per-frame `add_ops` account.
  *
  * This translation unit is compiled with baseline ISA flags: it is
  * the fallback on machines without SIMD support, so it must never be

@@ -15,6 +15,7 @@
 #include "cnn/pool_layer.h"
 #include "cnn/weights.h"
 #include "tensor/tensor_ops.h"
+#include "util/digest.h"
 
 namespace eva2 {
 namespace {
@@ -389,6 +390,48 @@ TEST(Weights, CalibratedSparsityInTargetRange)
         EXPECT_GT(z, 0.4) << spec.name;
         EXPECT_LT(z, 0.98) << spec.name;
     }
+}
+
+/** FNV-1a over every conv and FC weight and bias, in layer order. */
+u64
+weights_digest(const Network &net)
+{
+    u64 hash = kDigestSeed;
+    const auto fold = [&hash](const std::vector<float> &v) {
+        hash = fnv1a(v.data(), v.size() * sizeof(float), hash);
+    };
+    for (i64 i = 0; i < net.num_layers(); ++i) {
+        const Layer &layer = net.layer(i);
+        if (layer.kind() == LayerKind::kConv) {
+            const auto &conv = static_cast<const ConvLayer &>(layer);
+            fold(conv.weights());
+            fold(conv.biases());
+        } else if (layer.kind() == LayerKind::kFc) {
+            const auto &fc = static_cast<const FcLayer &>(layer);
+            fold(fc.weights());
+            fold(fc.biases());
+        }
+    }
+    return hash;
+}
+
+/**
+ * Every weight and bias bit of the two served builds: faster16 at
+ * 96 px and alexnet at 128 px with 2048-wide FCs. The constants are
+ * what calibrating through the seed direct kernel gives; calibration
+ * runs the bit-identical GEMM conv, so they must hold exactly.
+ */
+TEST(Weights, ServedBuildsKeepRecordedDigests)
+{
+    ScaledBuildOptions detect;
+    detect.input = Shape{1, 96, 96};
+    EXPECT_EQ(weights_digest(build_scaled(faster16_spec(), detect)),
+              0x5610c1a7b0e60530ull);
+    ScaledBuildOptions classify;
+    classify.input = Shape{1, 128, 128};
+    classify.fc_dim = 2048;
+    EXPECT_EQ(weights_digest(build_scaled(alexnet_spec(), classify)),
+              0xfbdb148f2498d2c6ull);
 }
 
 TEST(Weights, FirstLayerBankNormalized)

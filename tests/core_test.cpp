@@ -7,11 +7,50 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "cnn/model_zoo.h"
 #include "core/amc_pipeline.h"
+#include "core/warp.h"
+#include "sparse/rle.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "video/scenarios.h"
+
+namespace {
+
+/** Calls of the replaceable global operator new, in any thread. */
+std::atomic<unsigned long long> g_operator_new_calls{0};
+
+} // namespace
+
+// Count every global allocation, so a test can assert that a warm hot
+// path makes none. Tensor::buffer_allocations() sees tensor buffers
+// only; this also sees strings, maps and vectors. The array and
+// nothrow forms forward here; every delete form reaches free().
+void *
+operator new(std::size_t size)
+{
+    g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size)) {
+        return p;
+    }
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace eva2 {
 namespace {
@@ -108,6 +147,33 @@ TEST(WarpInto, MatchesAllocatingFormsWithoutAllocating)
         warp_activation_into(key, field, 2, mode, out);
         EXPECT_EQ(Tensor::buffer_allocations() - before, 0u);
         EXPECT_TRUE(out == expect);
+    }
+}
+
+/**
+ * The RLE warp runs on every predicted frame, so a warm call must not
+ * touch the heap at all — not for tensors, nor for strings or maps.
+ * The key is live_detect's warp target: faster16's pool1 at 96 px,
+ * 16 x 48 x 48 at receptive-field stride 2.
+ */
+TEST(WarpInto, RleFormMakesNoHeapAllocationWhenWarm)
+{
+    const RleActivation key =
+        rle_encode(random_activation(Shape{16, 48, 48}, 43));
+    MotionField field = MotionField::uniform(48, 48, Vec2{1.5, -0.5});
+    field.at(20, 9) = Vec2{-3.0, 2.5};
+    for (const InterpMode mode :
+         {InterpMode::kBilinear, InterpMode::kNearest}) {
+        Tensor out;
+        warp_activation_rle_into(key, field, 2, mode, out); // Warm.
+        const Tensor first = out;
+        const unsigned long long before = g_operator_new_calls.load();
+        for (int i = 0; i < 10; ++i) {
+            warp_activation_rle_into(key, field, 2, mode, out);
+        }
+        EXPECT_EQ(g_operator_new_calls.load() - before, 0u)
+            << "mode " << static_cast<int>(mode);
+        EXPECT_TRUE(out == first);
     }
 }
 

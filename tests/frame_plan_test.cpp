@@ -244,9 +244,9 @@ small_config(const std::string &policy, i64 depth, i64 threads)
 
 /**
  * The acceptance sweep: for every scenario kind in the multi-stream
- * serving set, every key-frame policy, and both CNN kernels, the
- * pipelined Engine must reproduce the serial AmcPipeline reference's
- * per-stream digests bit for bit.
+ * serving set and every key-frame policy, the pipelined Engine must
+ * reproduce the serial AmcPipeline reference's per-stream digests bit
+ * for bit.
  */
 TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
 {
@@ -268,26 +268,19 @@ TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
         "adaptive_motion:th=60,max_gap=6",
     };
     for (const std::string &policy : policies) {
-        for (const std::string kernel : {"gemm", "direct"}) {
-            EngineConfig config = small_config(policy, 3, 4);
-            config.kernel = kernel;
-            Engine engine(net, config);
-            const RunReport got = engine.run(streams);
-            const std::vector<StreamReport> want =
-                reference_rows(net, config, streams);
-            ASSERT_EQ(got.streams.size(), want.size());
-            for (size_t i = 0; i < want.size(); ++i) {
-                EXPECT_EQ(got.streams[i].digest, want[i].digest)
-                    << "policy " << policy << ", kernel " << kernel
-                    << ", stream " << want[i].name;
-                EXPECT_EQ(got.streams[i].key_frames,
-                          want[i].key_frames);
-                EXPECT_EQ(got.streams[i].me_add_ops,
-                          want[i].me_add_ops);
-            }
-            EXPECT_EQ(got.digest, chain_digest(want))
-                << "policy " << policy << ", kernel " << kernel;
+        const EngineConfig config = small_config(policy, 3, 4);
+        Engine engine(net, config);
+        const RunReport got = engine.run(streams);
+        const std::vector<StreamReport> want =
+            reference_rows(net, config, streams);
+        ASSERT_EQ(got.streams.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got.streams[i].digest, want[i].digest)
+                << "policy " << policy << ", stream " << want[i].name;
+            EXPECT_EQ(got.streams[i].key_frames, want[i].key_frames);
+            EXPECT_EQ(got.streams[i].me_add_ops, want[i].me_add_ops);
         }
+        EXPECT_EQ(got.digest, chain_digest(want)) << "policy " << policy;
     }
 }
 

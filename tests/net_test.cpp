@@ -318,25 +318,22 @@ reference_digests(const Network &net, const EngineConfig &config,
 TEST(NetServer, LoopbackDigestsMatchInProcessAcrossConfigs)
 {
     // The serving layer must be invisible to the results: for every
-    // policy x kernel (x threading) config, digests over TCP equal
-    // the serial in-process reference, bit for bit.
+    // policy (x threading) config, digests over TCP equal the serial
+    // in-process reference, bit for bit.
     NetFixture fx;
     struct Case
     {
         const char *policy;
-        const char *kernel;
         i64 threads;
     };
     const Case cases[] = {
-        {"static:interval=2", "gemm", 1},
-        {"static:interval=2", "direct", 1},
-        {"adaptive_error:th=0.05,max_gap=8", "gemm", 1},
-        {"static:interval=2", "gemm", 2},
+        {"static:interval=2", 1},
+        {"adaptive_error:th=0.05,max_gap=8", 1},
+        {"static:interval=2", 2},
     };
     for (const Case &c : cases) {
         EngineConfig config;
         config.policy = c.policy;
-        config.kernel = c.kernel;
         config.num_threads = c.threads;
 
         const std::vector<u64> expected =
@@ -361,8 +358,8 @@ TEST(NetServer, LoopbackDigestsMatchInProcessAcrossConfigs)
             }
             for (size_t s = 0; s < fx.streams.size(); ++s) {
                 EXPECT_EQ(sessions[s]->chained_digest(), expected[s])
-                    << "policy=" << c.policy << " kernel=" << c.kernel
-                    << " threads=" << c.threads << " stream=" << s;
+                    << "policy=" << c.policy << " threads=" << c.threads
+                    << " stream=" << s;
             }
             client.close();
         }

@@ -3,10 +3,11 @@
  * Tests for the planned execution engine: ExecutionPlan compilation,
  * scratch-arena reuse, and the im2col/blocked-GEMM conv kernel.
  *
- * The central property is *bit-exactness*: the planned paths (direct
- * or GEMM, fused or not, through the pipeline or the Engine) must
- * reproduce the seed's Network::forward outputs bit for bit, so every
- * parity assertion here uses exact tensor equality or digests, never
+ * The central property is *bit-exactness*: planned execution (GEMM
+ * convs with fused ReLU, alone or through the pipeline and the
+ * Engine) must reproduce the seed's Network::forward outputs — direct
+ * convs, separate ReLU passes — bit for bit, so every parity
+ * assertion here uses exact tensor equality or digests, never
  * tolerances. The second property is *zero steady-state allocation*:
  * once arena slots have grown, planned execution must stop touching
  * the heap.
@@ -21,6 +22,7 @@
 #include "cnn/model_zoo.h"
 #include "cnn/pool_layer.h"
 #include "core/amc_pipeline.h"
+#include "simd/simd_kernels.h"
 #include "util/rng.h"
 #include "video/scenarios.h"
 #include "video/synthetic_video.h"
@@ -89,23 +91,19 @@ class ConvParity : public ::testing::TestWithParam<ConvCase>
 {
 };
 
-TEST_P(ConvParity, GemmAndDirectPlansMatchSeedBitExactly)
+TEST_P(ConvParity, GemmPlanMatchesSeedBitExactly)
 {
     const ConvCase &c = GetParam();
-    const Network net =
-        conv_net(c.input, c.out_c, c.kernel, c.stride, c.pad, 77);
     const Tensor in = random_tensor(c.input, 99);
-    const Tensor seed_out = net.forward(in);
-
-    PlanOptions direct;
-    direct.conv_kernel = ConvKernel::kDirect;
-    PlanOptions gemm;
-    gemm.conv_kernel = ConvKernel::kIm2colGemm;
-
-    const Tensor via_direct = ExecutionPlan(net, direct).forward(in);
-    const Tensor via_gemm = ExecutionPlan(net, gemm).forward(in);
-    EXPECT_TRUE(seed_out == via_direct) << c.label;
-    EXPECT_TRUE(seed_out == via_gemm) << c.label;
+    // Without a ReLU, and with one the plan fuses into the conv.
+    for (const bool with_relu : {false, true}) {
+        const Network net = conv_net(c.input, c.out_c, c.kernel,
+                                     c.stride, c.pad, 77, with_relu);
+        const ExecutionPlan plan(net);
+        EXPECT_EQ(plan.num_steps(), 1) << c.label;
+        EXPECT_TRUE(net.forward(in) == plan.forward(in))
+            << c.label << ", relu " << with_relu;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -121,22 +119,19 @@ TEST(ExecutionPlan, FusedConvReluMatchesSeparatePasses)
     const Tensor in = random_tensor(net.input_shape(), 6);
     const Tensor seed_out = net.forward(in);
 
-    for (const ConvKernel kernel :
-         {ConvKernel::kDirect, ConvKernel::kIm2colGemm}) {
-        PlanOptions fused;
-        fused.conv_kernel = kernel;
-        fused.fuse_conv_relu = true;
-        PlanOptions unfused;
-        unfused.conv_kernel = kernel;
-        unfused.fuse_conv_relu = false;
+    const ExecutionPlan fused(net);
+    EXPECT_EQ(fused.num_steps(), 1); // ReLU step elided.
+    EXPECT_TRUE(seed_out == fused.forward(in));
 
-        const ExecutionPlan fused_plan(net, fused);
-        EXPECT_EQ(fused_plan.num_steps(), 1); // ReLU step elided.
-        EXPECT_TRUE(seed_out == fused_plan.forward(in));
-        const ExecutionPlan unfused_plan(net, unfused);
-        EXPECT_EQ(unfused_plan.num_steps(), 2);
-        EXPECT_TRUE(seed_out == unfused_plan.forward(in));
-    }
+    // A range that ends at the conv leaves its ReLU out, so chaining
+    // the two one-layer plans runs the ReLU as a separate pass.
+    const ExecutionPlan conv_only(net, 0, 1, net.input_shape());
+    const ExecutionPlan relu_only(net, 1, 2, conv_only.out_shape());
+    EXPECT_EQ(conv_only.num_steps(), 1);
+    EXPECT_FALSE(conv_only.describe()[0].fused_relu);
+    const Tensor conv_out = conv_only.forward(in);
+    EXPECT_TRUE(net.forward(in, 0, 1) == conv_out);
+    EXPECT_TRUE(seed_out == relu_only.forward(conv_out));
 }
 
 TEST(ExecutionPlan, ModelZooNetworkMatchesSeedBitExactly)
@@ -150,11 +145,6 @@ TEST(ExecutionPlan, ModelZooNetworkMatchesSeedBitExactly)
     const Tensor seed_out = net.forward(in);
 
     EXPECT_TRUE(seed_out == ExecutionPlan(net).forward(in));
-
-    PlanOptions direct;
-    direct.conv_kernel = ConvKernel::kDirect;
-    direct.fuse_conv_relu = false;
-    EXPECT_TRUE(seed_out == ExecutionPlan(net, direct).forward(in));
 }
 
 TEST(ExecutionPlan, ChainedPrefixSuffixPlansShareOneArena)
@@ -199,23 +189,29 @@ TEST(ExecutionPlan, DescribeReportsKernelSelectionAndFusion)
     Network net = conv_net({4, 10, 10}, 6, 3, 1, 1, 9,
                            /*with_relu=*/true);
     net.add(std::make_unique<MaxPoolLayer>(2, 2));
+    const Tensor in = random_tensor(net.input_shape(), 10);
 
     const ExecutionPlan gemm(net);
     const auto gemm_steps = gemm.describe();
     ASSERT_EQ(gemm_steps.size(), 2u);
     EXPECT_EQ(gemm_steps[0].layer, "conv");
     EXPECT_EQ(gemm_steps[0].kernel, "im2col_gemm");
+    EXPECT_EQ(gemm_steps[0].variant, "scalar");
     EXPECT_TRUE(gemm_steps[0].fused_relu);
     EXPECT_EQ(gemm_steps[1].kernel, "pool");
+    EXPECT_TRUE(net.forward(in) == gemm.forward(in));
 
-    PlanOptions opts;
-    opts.conv_kernel = ConvKernel::kDirect;
-    opts.fuse_conv_relu = false;
-    const auto direct_steps = ExecutionPlan(net, opts).describe();
-    ASSERT_EQ(direct_steps.size(), 3u);
-    EXPECT_EQ(direct_steps[0].kernel, "direct");
-    EXPECT_FALSE(direct_steps[0].fused_relu);
-    EXPECT_EQ(direct_steps[1].kernel, "relu");
+    // Starting past the conv, the ReLU is a step of its own.
+    const Shape conv_out = net.shape_at(0);
+    const ExecutionPlan tail(net, 1, net.num_layers(), conv_out);
+    const auto tail_steps = tail.describe();
+    ASSERT_EQ(tail_steps.size(), 2u);
+    EXPECT_EQ(tail_steps[0].kernel, "relu");
+    EXPECT_FALSE(tail_steps[0].fused_relu);
+    EXPECT_EQ(tail_steps[1].kernel, "pool");
+    const Tensor mid = random_tensor(conv_out, 12);
+    EXPECT_TRUE(net.forward(mid, 1, net.num_layers()) ==
+                tail.forward(mid));
 }
 
 // --------------------------------------------------------------------
@@ -318,40 +314,8 @@ TEST(AmcPipeline, ObserverReceivesCompiledPlanRecords)
     const PlanStepInfo &me = capture.plans[2].steps[0];
     EXPECT_EQ(me.layer, "rfbme");
     EXPECT_EQ(me.kernel.rfind("rfbme_tile/", 0), 0u);
-    EXPECT_TRUE(me.variant == "scalar" || me.variant == "simd");
-}
-
-TEST(Engine, GemmAndDirectKernelsProduceIdenticalDigests)
-{
-    ScaledBuildOptions build;
-    build.input = Shape{1, 64, 64};
-    const Network net = build_scaled(alexnet_spec(), build);
-    const std::vector<Sequence> streams =
-        multi_stream_set(13, 2, 5, 64);
-
-    EngineConfig direct;
-    direct.kernel = "direct";
-    direct.policy = "adaptive_error:th=0.02,max_gap=4";
-    direct.num_threads = 1;
-    Engine direct_engine(net, direct);
-    const RunReport direct_report = direct_engine.run(streams);
-
-    EngineConfig gemm;
-    gemm.kernel = "gemm";
-    gemm.policy = "adaptive_error:th=0.02,max_gap=4";
-    gemm.num_threads = 2;
-    Engine gemm_engine(net, gemm);
-    // Feed the GEMM engine frame by frame through sessions: the
-    // end-to-end identity covers the whole serving path, not just
-    // the kernels.
-    for (const Sequence &seq : streams) {
-        gemm_engine.session(seq.name).submit_all(seq);
-    }
-    const RunReport session_report = gemm_engine.report();
-
-    EXPECT_EQ(direct_report.digest, session_report.digest);
-    EXPECT_EQ(direct_report.frames, session_report.frames);
-    EXPECT_EQ(direct_report.key_frames, session_report.key_frames);
+    // The bit-identical SIMD producer runs whenever the CPU has it.
+    EXPECT_EQ(me.variant, simd_supported() ? "simd" : "scalar");
 }
 
 TEST(Engine, ReportEchoesKernelSelection)
@@ -390,28 +354,31 @@ TEST(Engine, KernelSpecsValidateEagerly)
     build.input = Shape{1, 48, 48};
     const Network net = build_scaled(alexnet_spec(), build);
 
-    EngineConfig typo;
-    typo.kernel = "gem";
-    EXPECT_THROW(typo.validate(net), ConfigError);
-    try {
-        typo.validate(net);
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        // The error names the alternatives.
-        EXPECT_NE(std::string(e.what()).find("gemm"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("direct"),
-                  std::string::npos);
+    // A typo, and the seed-reference kernel that plans no longer run
+    // (Network::forward is that reference), both fail naming the
+    // alternatives.
+    for (const char *spec : {"gem", "direct"}) {
+        EngineConfig unknown;
+        unknown.kernel = spec;
+        EXPECT_THROW(unknown.validate(net), ConfigError) << spec;
+        EXPECT_THROW(Engine(net, unknown), ConfigError) << spec;
+        try {
+            unknown.validate(net);
+            FAIL() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("(known: gemm, tuned)"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 
     EngineConfig bad_param;
     bad_param.kernel = "gemm:fused=1";
     EXPECT_THROW(bad_param.validate(net), ConfigError);
 
-    // Fusion is fixed per kernel (gemm and tuned fuse, direct
-    // mirrors the seed), so no kernel spec takes a fuse parameter.
-    for (const char *spec : {"gemm:fuse=0", "direct:fuse=1",
-                             "tuned:fuse=0"}) {
+    // Plans always fuse a conv's ReLU, so no kernel spec takes a
+    // fuse parameter.
+    for (const char *spec : {"gemm:fuse=0", "tuned:fuse=0"}) {
         EngineConfig fuse_param;
         fuse_param.kernel = spec;
         EXPECT_THROW(fuse_param.validate(net), ConfigError) << spec;

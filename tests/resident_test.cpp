@@ -318,29 +318,22 @@ TEST(ResidentTier, HibernationEnforcesBudgetInLruOrder)
 
 TEST(ResidentTier, HibernateHydrateDigestIdentityAcrossConfigs)
 {
-    // The tier's core contract: for every policy x kernel config, a
-    // budget so tight that sessions hibernate and rehydrate
-    // mid-stream must reproduce the budget-less digests bit for bit.
+    // The tier's core contract: for every policy config, a budget so
+    // tight that sessions hibernate and rehydrate mid-stream must
+    // reproduce the budget-less digests bit for bit.
     ResidentFixture fx;
-    struct Case
-    {
-        const char *policy;
-        const char *kernel;
-    };
-    const Case cases[] = {
-        {"static:interval=2", "gemm"},
-        {"static:interval=2", "direct"},
-        {"adaptive_error:th=0.05,max_gap=8", "gemm"},
+    const char *const policies[] = {
+        "static:interval=2",
+        "adaptive_error:th=0.05,max_gap=8",
     };
     const i64 per = fx.probe_session_bytes();
     const i64 budget = 1LL * 1024 * 1024;
     const i64 sessions = budget / per + 3;
     const i64 frames = fx.protos[0].size();
 
-    for (const Case &c : cases) {
+    for (const char *policy : policies) {
         EngineConfig config = fx.config("budget_mb:1,hibernate=on");
-        config.policy = c.policy;
-        config.kernel = c.kernel;
+        config.policy = policy;
         const std::vector<u64> expected = fx.control_digests(config);
 
         Engine engine(fx.net, config);
@@ -365,15 +358,13 @@ TEST(ResidentTier, HibernateHydrateDigestIdentityAcrossConfigs)
         engine.flush();
 
         const MemoryStats stats = engine.resident_manager()->stats();
-        EXPECT_GT(stats.hibernations, 0)
-            << c.policy << "/" << c.kernel;
-        EXPECT_GT(stats.hydrations, 0) << c.policy << "/" << c.kernel;
+        EXPECT_GT(stats.hibernations, 0) << policy;
+        EXPECT_GT(stats.hydrations, 0) << policy;
 
         for (i64 i = 0; i < sessions; ++i) {
             EXPECT_EQ(all[i]->report().digest,
                       expected[i % fx.protos.size()])
-                << "session " << i << " under " << c.policy << "/"
-                << c.kernel;
+                << "session " << i << " under " << policy;
         }
     }
 }

@@ -5,7 +5,8 @@
  *
  *  - tier 1, bit-exact: the scalar kernels stay the reference oracle,
  *    and the lane-parallel SIMD kernels that only reorder value-safe
- *    ops (ReLU, warp gather/select) must match them bit for bit;
+ *    ops (ReLU, warp gather/select, the SAD span/tile kernels) must
+ *    match them bit for bit;
  *  - tier 2, bounded divergence: the fma/tree-reduction kernels
  *    (GEMM register tiles, FC dot) may differ from the scalar chains
  *    only within a small ulp/absolute envelope, and end-task results
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "cnn/fc_layer.h"
 #include "cnn/kernel_tuner.h"
 #include "cnn/model_zoo.h"
+#include "flow/sad_kernels.h"
 #include "simd/simd_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -230,6 +233,64 @@ TEST(SimdKernels, WarpGathersMatchScalarSelectsBitForBit)
     }
 }
 
+/** The bit pattern of a double, so -0.0 and +0.0 compare unequal. */
+u64
+double_bits(double v)
+{
+    u64 bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/**
+ * The SAD kernels RFBME and block matching run whenever the CPU has
+ * SIMD must equal the scalar fixed-stripe contract
+ * (flow/sad_kernels.h) bit for bit: over tile widths 1-33 (the
+ * across-tile paths at s = 2 and 4, the within-tile path and its
+ * tails) and tile counts 1-17, with unaligned rows and tile-row
+ * accumulators that already hold a sum, as when RFBME folds rows.
+ * Each value gets a random binary exponent: differences of
+ * same-magnitude floats sum exactly in double in any order, so only a
+ * wide dynamic range shows a reordered reduction.
+ */
+TEST(SimdKernels, SadKernelsMatchScalarBitForBit)
+{
+    if (!simd_supported()) {
+        GTEST_SKIP() << "no SIMD on this machine";
+    }
+    Rng rng(53);
+    for (i64 s = 1; s <= 33; ++s) {
+        for (i64 tiles = 1; tiles <= 17; ++tiles) {
+            const i64 n = s * tiles;
+            const i64 skew = (s + tiles) % 4; // Unaligned row starts.
+            std::vector<float> a(static_cast<size_t>(n + skew));
+            std::vector<float> b(static_cast<size_t>(n + skew));
+            for (size_t i = 0; i < a.size(); ++i) {
+                const int e = static_cast<int>(rng.uniform_int(-30, 30));
+                a[i] = std::ldexp(rng.uniform_f(-1.0f, 2.0f), e);
+                b[i] = std::ldexp(rng.uniform_f(-1.0f, 2.0f), e);
+            }
+            const float *ra = a.data() + skew;
+            const float *rb = b.data() + skew;
+            EXPECT_EQ(double_bits(sad_span_simd(ra, rb, n)),
+                      double_bits(sad_span(ra, rb, n)))
+                << "span n=" << n;
+            std::vector<double> want(static_cast<size_t>(tiles));
+            for (double &v : want) {
+                v = rng.uniform(0.0, 8.0);
+            }
+            std::vector<double> got = want;
+            sad_tile_row(ra, rb, tiles, s, want.data());
+            sad_tile_row_simd(ra, rb, tiles, s, got.data());
+            for (i64 t = 0; t < tiles; ++t) {
+                EXPECT_EQ(double_bits(got[static_cast<size_t>(t)]),
+                          double_bits(want[static_cast<size_t>(t)]))
+                    << "s=" << s << " tiles=" << tiles << " t=" << t;
+            }
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // Tier 2: bounded-divergence SIMD kernels vs the scalar oracle
 
@@ -352,9 +413,9 @@ TEST(SimdKernels, BatchedFcDotWithinToleranceAcrossBatchSizes)
             out_ptrs.push_back(&outs[i]);
         }
         fc.forward_batched(in_ptrs.data(), nb, ref_ptrs.data(),
-                           /*fuse_relu=*/false, /*simd=*/false);
+                           /*simd=*/false);
         fc.forward_batched(in_ptrs.data(), nb, out_ptrs.data(),
-                           /*fuse_relu=*/false, /*simd=*/true);
+                           /*simd=*/true);
         for (i64 i = 0; i < nb; ++i) {
             EXPECT_TRUE(
                 within_tolerance(refs[i], outs[i], kMaxUlp, kMaxAbs))
@@ -417,12 +478,12 @@ TEST(KernelRegistry, TunedSpecSetsPlanOptions)
     PlanOptions plan;
     reg.apply("tuned", plan);
     EXPECT_TRUE(plan.tune);
-    EXPECT_EQ(plan.conv_kernel, ConvKernel::kIm2colGemm);
-    EXPECT_TRUE(plan.fuse_conv_relu);
     EXPECT_EQ(plan.tune_budget_us, 20000);
     reg.apply("tuned:budget_us=5000", plan);
-    EXPECT_TRUE(plan.fuse_conv_relu);
+    EXPECT_TRUE(plan.tune);
     EXPECT_EQ(plan.tune_budget_us, 5000);
+    reg.apply("gemm", plan);
+    EXPECT_FALSE(plan.tune);
 }
 
 TEST(KernelRegistry, TunedSpecRejectsBadParams)
@@ -667,9 +728,9 @@ TEST(Engine, TunedKernelRunsAndReportsProvenance)
     }
     EXPECT_TRUE(saw_variant);
 
-    // The motion front end reports its raced diff-tile variant like
-    // the CNN steps do. Without SIMD support the race is skipped and
-    // the plan pins the scalar oracle.
+    // The motion front end reports its diff-tile producer like the
+    // CNN steps do. It is bit-identical either way, so it is not
+    // tuned: SIMD whenever the CPU has it, under every kernel spec.
     bool saw_motion = false;
     for (const PlanRecord &rec : report.plan) {
         if (rec.scope != "motion") {
@@ -679,13 +740,8 @@ TEST(Engine, TunedKernelRunsAndReportsProvenance)
         ASSERT_EQ(rec.steps.size(), 1u);
         EXPECT_EQ(rec.steps[0].layer, "rfbme");
         EXPECT_EQ(rec.steps[0].kernel.rfind("rfbme_tile/", 0), 0u);
-        if (simd_supported()) {
-            EXPECT_TRUE(rec.steps[0].variant == "scalar" ||
-                        rec.steps[0].variant == "simd")
-                << rec.steps[0].variant;
-        } else {
-            EXPECT_EQ(rec.steps[0].variant, "scalar");
-        }
+        EXPECT_EQ(rec.steps[0].variant,
+                  simd_supported() ? "simd" : "scalar");
     }
     EXPECT_TRUE(saw_motion);
 

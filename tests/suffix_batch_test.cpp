@@ -53,11 +53,10 @@ random_tensor(Shape shape, u64 seed)
  * range exactly, at every batch size. The oracle runs none of the
  * plan's batched code (fresh tensors per layer, direct convs,
  * separate ReLU passes, forward_into FCs). Swept over the suffix range
- * (FC-heavy) and the whole network (conv/pool/LRN-heavy) under every
- * kernel and fusion setting, and over the two served suffixes —
- * faster16 at 96 px after its early target (fc6, fc7, cls_score,
- * bbox_pred) and alexnet at 128 px with 2048-wide FCs — under the
- * default kernel.
+ * (FC-heavy) and the whole network (conv/pool/LRN-heavy), and over
+ * the two served suffixes — faster16 at 96 px after its early target
+ * (fc6, fc7, cls_score, bbox_pred) and alexnet at 128 px with
+ * 2048-wide FCs.
  */
 TEST(BatchedPlan, BitIdenticalToPerSampleRuns)
 {
@@ -70,31 +69,19 @@ TEST(BatchedPlan, BitIdenticalToPerSampleRuns)
     classify_build.fc_dim = 2048;
     const Network classify = build_scaled(alexnet_spec(), classify_build);
 
-    std::vector<PlanOptions> every_kernel;
-    for (const ConvKernel kernel :
-         {ConvKernel::kIm2colGemm, ConvKernel::kDirect}) {
-        for (const bool fuse : {true, false}) {
-            PlanOptions popts;
-            popts.conv_kernel = kernel;
-            popts.fuse_conv_relu = fuse;
-            every_kernel.push_back(popts);
-        }
-    }
     struct Range
     {
         const char *label;
         const Network *net;
         i64 begin;
-        std::vector<PlanOptions> opts;
     };
     const std::vector<Range> ranges = {
-        {"alexnet96 suffix", &small, small.default_target_index() + 1,
-         every_kernel},
-        {"alexnet96 whole", &small, 0, every_kernel},
+        {"alexnet96 suffix", &small, small.default_target_index() + 1},
+        {"alexnet96 whole", &small, 0},
         {"faster16 96px early suffix", &detect,
-         detect.first_pool_index() + 1, {PlanOptions{}}},
+         detect.first_pool_index() + 1},
         {"alexnet 128px fc2048 suffix", &classify,
-         classify.default_target_index() + 1, {PlanOptions{}}},
+         classify.default_target_index() + 1},
     };
     for (const Range &range : ranges) {
         const Network &net = *range.net;
@@ -113,22 +100,17 @@ TEST(BatchedPlan, BitIdenticalToPerSampleRuns)
         for (const Tensor &t : inputs) {
             in_ptrs.push_back(&t);
         }
-        for (const PlanOptions &popts : range.opts) {
-            const ExecutionPlan plan(net, range.begin, end, in_shape,
-                                     popts, /*max_batch=*/4);
-            EXPECT_EQ(plan.out_shape(), expect[0].shape());
-            for (i64 n = 1; n <= 4; ++n) {
-                const Tensor *outs[kMaxSuffixBatch] = {};
-                ScratchArena arena;
-                plan.run(in_ptrs.data(), n, outs, arena);
-                for (i64 i = 0; i < n; ++i) {
-                    ASSERT_NE(outs[i], nullptr);
-                    EXPECT_TRUE(*outs[i] == expect[static_cast<size_t>(i)])
-                        << range.label << ", kernel "
-                        << conv_kernel_name(popts.conv_kernel) << ", fuse "
-                        << popts.fuse_conv_relu << ", batch " << n
-                        << ", sample " << i;
-                }
+        const ExecutionPlan plan(net, range.begin, end, in_shape,
+                                 PlanOptions{}, /*max_batch=*/4);
+        EXPECT_EQ(plan.out_shape(), expect[0].shape());
+        for (i64 n = 1; n <= 4; ++n) {
+            const Tensor *outs[kMaxSuffixBatch] = {};
+            ScratchArena arena;
+            plan.run(in_ptrs.data(), n, outs, arena);
+            for (i64 i = 0; i < n; ++i) {
+                ASSERT_NE(outs[i], nullptr);
+                EXPECT_TRUE(*outs[i] == expect[static_cast<size_t>(i)])
+                    << range.label << ", batch " << n << ", sample " << i;
             }
         }
     }
@@ -340,7 +322,7 @@ batched_config(const std::string &policy, i64 threads, i64 depth)
 /**
  * The acceptance sweep: per-stream digests with suffix batching are
  * bit-identical to the serial reference for every scenario kind in
- * the serving set, every policy, and both CNN kernels.
+ * the serving set and every policy.
  */
 TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
 {
@@ -354,23 +336,19 @@ TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
         "adaptive_error:th=0.05,max_gap=6",
     };
     for (const std::string &policy : policies) {
-        for (const std::string kernel : {"gemm", "direct"}) {
-            EngineConfig config = batched_config(policy, 4, 3);
-            config.kernel = kernel;
-            Engine batched(net, config);
-            const RunReport got = batched.run(streams);
-            const std::vector<StreamReport> want =
-                reference_rows(net, config, streams);
-            ASSERT_EQ(got.streams.size(), want.size());
-            for (size_t i = 0; i < want.size(); ++i) {
-                EXPECT_EQ(got.streams[i].digest, want[i].digest)
-                    << "policy " << policy << ", kernel " << kernel
-                    << ", stream " << want[i].name;
-            }
-            EXPECT_EQ(got.batching.items,
-                      static_cast<i64>(streams.size()) * 4)
-                << "every suffix must route through the batcher";
+        const EngineConfig config = batched_config(policy, 4, 3);
+        Engine batched(net, config);
+        const RunReport got = batched.run(streams);
+        const std::vector<StreamReport> want =
+            reference_rows(net, config, streams);
+        ASSERT_EQ(got.streams.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got.streams[i].digest, want[i].digest)
+                << "policy " << policy << ", stream " << want[i].name;
         }
+        EXPECT_EQ(got.batching.items,
+                  static_cast<i64>(streams.size()) * 4)
+            << "every suffix must route through the batcher";
     }
 }
 
