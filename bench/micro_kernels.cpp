@@ -231,9 +231,10 @@ BENCHMARK(BM_ConvIm2colGemm)
 // (kernel, variant, shape) identifiers: `conv_gemm/<variant>/<shape>`
 // for each GEMM micro-kernel (scalar + every SIMD register tile when
 // the machine supports it), `conv_tuned/<shape>` for the autotuned
-// end-to-end plan, and `fc/<scalar|simd>/<dims>` for the FC dot
-// kernels. Registered from main() so the SIMD rows can be gated on
-// the *runtime* cpuid check, not just the compile-time ISA.
+// end-to-end plan, and `fc/<scalar|simd>/<dims>` for the scalar FC
+// body and the bit-exact SIMD FC kernel. Registered from main() so
+// the SIMD rows can be gated on the *runtime* cpuid check, not just
+// the compile-time ISA.
 
 void
 conv_variant_bench(benchmark::State &state, const ConvShape &shape,
@@ -293,17 +294,20 @@ fc_bench(benchmark::State &state, i64 in_dim, i64 out_dim, bool simd)
     for (float &b : fc.biases()) {
         b = rng.uniform_f(-0.5f, 0.5f);
     }
-    Tensor in(in_dim, 1, 1);
-    for (i64 i = 0; i < in.size(); ++i) {
-        in[i] = rng.uniform_f(-1.0f, 1.0f);
+    std::vector<float> in(static_cast<size_t>(in_dim));
+    for (float &x : in) {
+        x = rng.uniform_f(-1.0f, 1.0f);
     }
-    Tensor out(out_dim, 1, 1);
-    ForwardCtx ctx;
-    ctx.out = &out;
-    ctx.simd_fc = simd;
+    std::vector<float> out(static_cast<size_t>(out_dim));
+    const float *xs[1] = {in.data()};
+    float *ys[1] = {out.data()};
+    // Both rows call their kernel directly on one thread, over every
+    // output neuron, so the ratio is the kernel's alone.
+    const auto rows = simd ? fc_rows_simd : fc_rows_scalar;
     for (auto _ : state) {
-        fc.forward_into(in, ctx);
-        benchmark::DoNotOptimize(out.data().data());
+        rows(fc.weights().data(), fc.biases().data(), in_dim, 0, out_dim,
+             xs, 1, ys);
+        benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * in_dim * out_dim);
 }

@@ -88,8 +88,9 @@ struct EngineConfig
      * CNN execution kernel spec (KernelRegistry): how the compiled
      * plans run the network. `gemm` (im2col + blocked GEMM, fused
      * conv+ReLU) is bit-identical to the seed Network::forward.
-     * `tuned` is `gemm` with per-shape autotuned SIMD GEMM and FC
-     * kernels: faster, but bounded-divergence rather than bit-exact.
+     * `tuned` is `gemm` with per-shape autotuned SIMD GEMM tiles:
+     * faster, but bounded-divergence rather than bit-exact. Both run
+     * the same bit-exact FC kernel (SIMD whenever the CPU has it).
      */
     std::string kernel = "gemm";
     /** AMC target layer: "last_spatial", "early", or "layer:<i>". */

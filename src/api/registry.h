@@ -141,10 +141,13 @@ class InterpRegistry
  *                          conv+ReLU fusion, bit-identical to the
  *                          seed Network::forward (the default).
  *   `tuned[:budget_us=N]`  gemm with per-shape autotuned SIMD GEMM
- *                          and FC kernels (N µs per tuning contest,
- *                          default 20000); bounded-divergence, not
- *                          bit-exact (docs/simd_kernels.md). Runs
- *                          scalar gemm where SIMD is unsupported.
+ *                          tiles (N µs per tuning contest, default
+ *                          20000); bounded-divergence, not bit-exact
+ *                          (docs/simd_kernels.md). Runs scalar gemm
+ *                          where SIMD is unsupported.
+ *
+ * FC layers take no part in the spec: both run the one bit-exact FC
+ * kernel, SIMD whenever simd_supported().
  */
 class KernelRegistry
 {

@@ -10,16 +10,13 @@ Tensor
 ReluLayer::forward(const Tensor &in) const
 {
     Tensor out(in.shape());
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
+    forward_into(in, out);
     return out;
 }
 
 void
-ReluLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
+ReluLayer::forward_into(const Tensor &in, Tensor &out) const
 {
-    Tensor &out = *ctx.out;
     // Lane-parallel max(x, 0) is bit-exact vs this loop, so SIMD is
     // safe to take whenever the machine has it — no tuner or
     // divergence gate involved.
@@ -42,16 +39,13 @@ Tensor
 LrnLayer::forward(const Tensor &in) const
 {
     Tensor out(in.shape());
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
+    forward_into(in, out);
     return out;
 }
 
 void
-LrnLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
+LrnLayer::forward_into(const Tensor &in, Tensor &out) const
 {
-    Tensor &out = *ctx.out;
     const i64 half = local_size_ / 2;
     for (i64 c = 0; c < in.channels(); ++c) {
         const i64 c_lo = std::max<i64>(0, c - half);

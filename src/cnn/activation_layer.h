@@ -17,8 +17,7 @@ class ReluLayer : public Layer
 {
   public:
     Tensor forward(const Tensor &in) const override;
-    void forward_into(const Tensor &in,
-                      const ForwardCtx &ctx) const override;
+    void forward_into(const Tensor &in, Tensor &out) const override;
     Shape out_shape(const Shape &in) const override { return in; }
     LayerKind kind() const override { return LayerKind::kRelu; }
 };
@@ -35,8 +34,7 @@ class LrnLayer : public Layer
              float k = 2.0f);
 
     Tensor forward(const Tensor &in) const override;
-    void forward_into(const Tensor &in,
-                      const ForwardCtx &ctx) const override;
+    void forward_into(const Tensor &in, Tensor &out) const override;
     Shape out_shape(const Shape &in) const override { return in; }
     LayerKind kind() const override { return LayerKind::kLrn; }
 

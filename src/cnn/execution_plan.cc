@@ -12,13 +12,13 @@ namespace {
 
 /** Human-readable variant for one compiled step (reports). */
 std::string
-step_variant(const Layer &layer, GemmVariant conv_variant, bool simd_fc)
+step_variant(const Layer &layer, GemmVariant conv_variant)
 {
     if (layer.kind() == LayerKind::kConv) {
         return gemm_variant_name(conv_variant);
     }
     if (layer.kind() == LayerKind::kFc) {
-        return simd_fc ? "simd" : "scalar";
+        return simd_supported() ? "simd" : "scalar";
     }
     return "";
 }
@@ -72,12 +72,6 @@ ExecutionPlan::ExecutionPlan(const Network &net, i64 begin, i64 end,
                 step.conv_variant = tune_conv_gemm(
                     step.conv, step.out_shape.h, step.out_shape.w,
                     step.fuse_relu, opts.tune_budget_us);
-            }
-        } else if (layer.kind() == LayerKind::kFc) {
-            step.batched_fc = max_batch > 1;
-            if (opts.tune) {
-                step.simd_fc = tune_fc_simd(
-                    s.size(), step.out_shape.size(), opts.tune_budget_us);
             }
         }
         s = step.out_shape;
@@ -137,15 +131,12 @@ ExecutionPlan::run(const Tensor *const *inputs, i64 n, const Tensor **outs,
             conv_im2col_gemm(cur, n, step.conv, conv->weights().data(),
                              conv->biases().data(), louts, col, gemm_out,
                              step.fuse_relu, step.conv_variant);
-        } else if (step.batched_fc) {
+        } else if (step.layer->kind() == LayerKind::kFc) {
             static_cast<const FcLayer *>(step.layer)->forward_batched(
-                cur, n, louts, step.simd_fc);
+                cur, n, louts);
         } else {
-            ForwardCtx ctx;
-            ctx.simd_fc = step.simd_fc;
             for (i64 i = 0; i < n; ++i) {
-                ctx.out = louts[i];
-                step.layer->forward_into(*cur[i], ctx);
+                step.layer->forward_into(*cur[i], *louts[i]);
             }
         }
         std::copy(louts, louts + n, cur);
@@ -182,8 +173,7 @@ ExecutionPlan::describe() const
         info.kernel = step.layer->kind() == LayerKind::kConv
                           ? "im2col_gemm"
                           : layer_kind_name(step.layer->kind());
-        info.variant =
-            step_variant(*step.layer, step.conv_variant, step.simd_fc);
+        info.variant = step_variant(*step.layer, step.conv_variant);
         info.fused_relu = step.fuse_relu;
         info.out = step.out_shape;
         out.push_back(std::move(info));

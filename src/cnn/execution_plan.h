@@ -25,8 +25,8 @@
  *
  *  - FC layers become matrix-matrix products: each weight row is
  *    streamed from memory once per *batch* instead of once per
- *    sample (FcLayer::forward_batched, chosen for every FC step of a
- *    plan compiled with max_batch > 1);
+ *    sample (every FC step runs FcLayer::forward_batched over the
+ *    run's samples);
  *  - GEMM convs pack all samples' output pixels into one im2col
  *    matrix, so tiles that one small late-suffix plane would leave
  *    mostly empty are filled (conv_im2col_gemm over nb inputs);
@@ -35,10 +35,11 @@
  * Bit-exactness: every output element of every sample is computed
  * with the accumulation order of the seed layer, so a sample's result
  * — and each stream's digest chain — does not depend on which other
- * samples shared its run. (The `tune` SIMD FC kernels are the one
- * exception to *plan-type* independence: a plan compiled with
- * max_batch > 1 runs the batched SIMD dot at every n, so its outputs
- * never depend on n, but may differ from a max_batch = 1 plan's.)
+ * samples shared its run. Under `tune` the GEMM register tiles trade
+ * that seed identity for bounded divergence, but neither max_batch
+ * nor a run's n moves a sample's bits under any kernel spec: the
+ * tiles are picked per layer shape, and their strips never span two
+ * samples.
  *
  * Memory: lane i's activations ping-pong through arena slots 2i and
  * 2i+1; slot 2*max_batch is the im2col buffer shared by every GEMM
@@ -68,12 +69,11 @@ struct PlanOptions
     /**
      * Autotune kernels per layer shape (the `kernel=tuned` registry
      * spec): at compile time every conv layer's GEMM micro-kernel
-     * variant and every FC layer's dot kernel are picked by
-     * KernelTuner contests on synthetic data of the real shape,
-     * cached process-wide so each shape tunes once. The SIMD winners
-     * are bounded-divergence vs the scalar reference (fma, tree
-     * reductions) — see docs/simd_kernels.md for the verification
-     * contract. No-op when SIMD is unsupported on this machine.
+     * variant is picked by a KernelTuner contest on synthetic data of
+     * the real shape, cached process-wide so each shape tunes once.
+     * The SIMD winners are bounded-divergence vs the scalar reference
+     * (fma) — see docs/simd_kernels.md for the verification contract.
+     * No-op when SIMD is unsupported on this machine.
      */
     bool tune = false;
     /** Per-contest tuning budget in microseconds (tune only). */
@@ -89,8 +89,9 @@ struct PlanStepInfo
     std::string kernel;
     /**
      * Chosen micro-kernel variant: the GEMM register tile for gemm
-     * convs ("scalar", "mr2xnv4", ...), "simd"/"scalar" for FC
-     * layers, empty for steps with no variant dimension.
+     * convs ("scalar", "mr2xnv4", ...), for FC layers "simd" exactly
+     * when simd_supported() (else "scalar"), empty for steps with no
+     * variant dimension.
      */
     std::string variant;
     bool fused_relu = false; ///< A conv with its next-layer ReLU.
@@ -193,11 +194,6 @@ class ExecutionPlan
         ConvGeometry conv;
         /** Tuner-picked GEMM variant (kScalar unless opts.tune). */
         GemmVariant conv_variant = GemmVariant::kScalar;
-        /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
-        bool simd_fc = false;
-        /** FC step run by FcLayer::forward_batched: fixed at compile
-         * time by max_batch > 1, never by a run's n. */
-        bool batched_fc = false;
         /** Conv step whose next-layer ReLU it absorbed. */
         bool fuse_relu = false;
         i64 parity = 0; ///< Lane ping-pong side this step writes.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "runtime/parallel_for.h"
+#include "simd/simd_kernels.h"
 
 namespace eva2 {
 
@@ -37,8 +38,8 @@ fc_accumulate(const float *w, float bias, const float *const *xs,
     }
 }
 
-/** Block width: 8 chains fill the FMA pipeline without register
- * spills, and 8 input vectors stay cache-resident. */
+/** Sample block width: 8 chains fill the add pipeline without
+ * register spills, and 8 input vectors stay cache-resident. */
 constexpr i64 kFcBlock = 8;
 
 void
@@ -60,7 +61,29 @@ fc_accumulate_block(const float *w, float bias,
     }
 }
 
+/** Output neurons per parallel_for task: one AVX2 lane block, and
+ * enough scalar rows to amortize the claim. */
+constexpr i64 kFcRowsPerTask = 8;
+
 } // namespace
+
+void
+fc_rows_scalar(const float *weights, const float *biases, i64 in_dim,
+               i64 o0, i64 o1, const float *const *xs, i64 nb,
+               float *const *ys)
+{
+    float acc[kFcBlock];
+    for (i64 o = o0; o < o1; ++o) {
+        const float *w = weights + o * in_dim;
+        for (i64 s0 = 0; s0 < nb; s0 += kFcBlock) {
+            const i64 blk = std::min<i64>(kFcBlock, nb - s0);
+            fc_accumulate_block(w, biases[o], xs + s0, blk, in_dim, acc);
+            for (i64 s = 0; s < blk; ++s) {
+                ys[s0 + s][o] = acc[s];
+            }
+        }
+    }
+}
 
 FcLayer::FcLayer(i64 in_dim, i64 out_dim)
     : in_dim_(in_dim),
@@ -85,105 +108,59 @@ Tensor
 FcLayer::forward(const Tensor &in) const
 {
     Tensor out(out_shape(in.shape()));
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
+    forward_into(in, out);
     return out;
 }
 
 void
-FcLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
+FcLayer::forward_into(const Tensor &in, Tensor &out) const
 {
-    Tensor &out = *ctx.out;
-    Span<const float> x = in.data();
-    const bool simd = ctx.simd_fc;
-    // Output neurons are independent and write disjoint elements, so
-    // the split is bit-identical to the serial loop (same per-neuron
-    // accumulation order) — the ConvLayer pattern, applied to the
-    // non-spatial suffix. Grain keeps cheap rows batched. The SIMD
-    // dot kernel changes the per-neuron accumulation order (fma +
-    // tree reduction): bounded divergence, tuner-selected only.
-    parallel_for(
-        0, out_dim_,
-        [&](i64 o) {
-            const float *w =
-                &weights_[static_cast<size_t>(o * in_dim_)];
-            float acc;
-            if (simd) {
-                acc = fc_dot_simd(w, x.data(), in_dim_,
-                                  biases_[static_cast<size_t>(o)]);
-            } else {
-                acc = biases_[static_cast<size_t>(o)];
-                for (i64 i = 0; i < in_dim_; ++i) {
-                    acc += w[i] * x[static_cast<size_t>(i)];
-                }
-            }
-            out[o] = acc;
-        },
-        ParallelForOptions{/*grain=*/8, /*pool=*/nullptr});
+    const Tensor *ins[1] = {&in};
+    Tensor *outs[1] = {&out};
+    forward_batched(ins, 1, outs);
 }
 
 void
 FcLayer::forward_batched(const Tensor *const *ins, i64 nb,
-                         Tensor *const *outs, bool simd) const
+                         Tensor *const *outs) const
 {
-    require(nb >= 1 && nb <= kMaxSuffixBatch,
-            "fc: batch must be in [1, " +
-                std::to_string(kMaxSuffixBatch) + "], got " +
-                std::to_string(nb));
+    // Per-frame hot path: build the failure message only on failure.
+    if (nb < 1 || nb > kMaxSuffixBatch) {
+        throw ConfigError("fc: batch must be in [1, " +
+                          std::to_string(kMaxSuffixBatch) + "], got " +
+                          std::to_string(nb));
+    }
     const float *xs[kMaxSuffixBatch];
+    float *ys[kMaxSuffixBatch];
     for (i64 s = 0; s < nb; ++s) {
         xs[s] = ins[s]->data().data();
+        ys[s] = outs[s]->data().data();
     }
-    // Neurons split across threads exactly like forward_into. Within
-    // one neuron, the samples' accumulator chains are *interleaved*
-    // in register-resident blocks: each sample still sums taps in
-    // ascending input order into its own accumulator (bit-identical
-    // to forward_into), but the chains are independent, so the inner
-    // loop issues one FMA per chain per weight instead of stalling
-    // on a single chain's add latency — and the weight row is
-    // streamed once per block instead of once per sample. This is
-    // the structural win batch-of-1 execution cannot have: one
-    // sample is a single latency-bound dependency chain by
-    // construction.
-    parallel_for(
-        0, out_dim_,
-        [&](i64 o) {
-            const float *w =
-                &weights_[static_cast<size_t>(o * in_dim_)];
-            const float bias = biases_[static_cast<size_t>(o)];
-            float acc[kFcBlock];
-            for (i64 s0 = 0; s0 < nb; s0 += kFcBlock) {
-                const i64 blk = std::min<i64>(kFcBlock, nb - s0);
-                if (simd) {
-                    fc_dot_batched_simd(w, bias, xs + s0, blk, in_dim_,
-                                        acc);
-                } else {
-                    fc_accumulate_block(w, bias, xs + s0, blk, in_dim_,
-                                        acc);
-                }
-                for (i64 s = 0; s < blk; ++s) {
-                    (*outs[s0 + s])[o] = acc[s];
-                }
-            }
-        },
-        ParallelForOptions{/*grain=*/8, /*pool=*/nullptr});
+    const auto rows = simd_supported() ? fc_rows_simd : fc_rows_scalar;
+    // Output neurons are independent and write disjoint elements, so
+    // the split is bit-identical to the serial loop (same per-neuron
+    // accumulation order) — the ConvLayer pattern, applied to the
+    // non-spatial suffix.
+    parallel_for(0, (out_dim_ + kFcRowsPerTask - 1) / kFcRowsPerTask,
+                 [&](i64 task) {
+                     const i64 o0 = task * kFcRowsPerTask;
+                     rows(weights_.data(), biases_.data(), in_dim_, o0,
+                          std::min(o0 + kFcRowsPerTask, out_dim_), xs,
+                          nb, ys);
+                 });
 }
 
 Tensor
 SoftmaxLayer::forward(const Tensor &in) const
 {
     Tensor out(out_shape(in.shape()));
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
+    forward_into(in, out);
     return out;
 }
 
 void
-SoftmaxLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
+SoftmaxLayer::forward_into(const Tensor &in, Tensor &out) const
 {
-    Tensor &out = *ctx.out;
     float max_v = -std::numeric_limits<float>::infinity();
     for (i64 i = 0; i < in.size(); ++i) {
         max_v = std::max(max_v, in[i]);

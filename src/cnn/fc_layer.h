@@ -15,6 +15,19 @@
 namespace eva2 {
 
 /**
+ * The scalar FC body: rows [o0, o1) for nb >= 1 samples,
+ * ys[s][o] = biases[o] + sum_i weights[o * in_dim + i] * xs[s][i],
+ * with `weights` row-major [out][in]. Each sample's chain starts from
+ * the bias and adds one product per input in ascending order, the
+ * seed's loop; up to 8 samples' chains interleave in registers.
+ * fc_rows_simd (simd/simd_kernels.h) must match it bit for bit; it is
+ * also the FC kernel on machines without SIMD.
+ */
+void fc_rows_scalar(const float *weights, const float *biases,
+                    i64 in_dim, i64 o0, i64 o1, const float *const *xs,
+                    i64 nb, float *const *ys);
+
+/**
  * Dense layer: flattens its input (whatever its CHW shape) and applies
  * y = Wx + b. Output shape is {out_dim, 1, 1}.
  */
@@ -28,27 +41,27 @@ class FcLayer : public Layer
     FcLayer(i64 in_dim, i64 out_dim);
 
     Tensor forward(const Tensor &in) const override;
-    void forward_into(const Tensor &in,
-                      const ForwardCtx &ctx) const override;
+
+    /** The one-sample case of forward_batched. */
+    void forward_into(const Tensor &in, Tensor &out) const override;
 
     /**
-     * Batched forward over `nb` same-shape inputs: for each output
-     * neuron, the weight row is loaded once and dotted against every
+     * Forward `nb` same-shape inputs (1 <= nb <= kMaxSuffixBatch) in
+     * one pass: fc_rows_simd whenever simd_supported(), fc_rows_scalar
+     * otherwise, split across threads by blocks of output neurons.
+     * Each block of weight rows is loaded once and dotted against every
      * sample before moving on. An unbatched FC is a matrix-vector
      * product that re-streams the whole weight matrix per sample;
      * batching turns it into a matrix-matrix product whose weight
      * traffic is amortized across the batch — the dominant win of
      * cross-stream suffix batching, since FC weights are the largest
-     * tensors the suffix touches. Per-sample accumulation (bias, then
-     * ascending input index) is identical to forward_into, so each
-     * sample's output is bit-identical to a batch-of-1 call.
-     *
-     * With `simd` (tuner-selected; requires simd_supported()), each
-     * sample's chain runs through the SIMD dot kernel instead —
-     * bounded divergence vs the scalar chains, never bit-exact.
+     * tensors the suffix touches. Both kernels run the seed's
+     * per-sample chain (bias, then ascending input index), so every
+     * sample's output is bit-identical to Network::forward at any nb
+     * and on any machine.
      */
     void forward_batched(const Tensor *const *ins, i64 nb,
-                         Tensor *const *outs, bool simd = false) const;
+                         Tensor *const *outs) const;
 
     Shape out_shape(const Shape &in) const override;
     LayerKind kind() const override { return LayerKind::kFc; }
@@ -81,8 +94,7 @@ class SoftmaxLayer : public Layer
 {
   public:
     Tensor forward(const Tensor &in) const override;
-    void forward_into(const Tensor &in,
-                      const ForwardCtx &ctx) const override;
+    void forward_into(const Tensor &in, Tensor &out) const override;
     Shape
     out_shape(const Shape &in) const override
     {

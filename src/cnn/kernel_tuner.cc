@@ -197,54 +197,4 @@ tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
     return static_cast<GemmVariant>(pick.id);
 }
 
-bool
-tune_fc_simd(i64 in_dim, i64 out_dim, i64 budget_us)
-{
-    if (!simd_supported()) {
-        return false;
-    }
-    // Tune on a row subset: the dot kernels' ranking depends on
-    // in_dim (chain length), not on how many rows consume it.
-    const i64 rows = std::max<i64>(
-        4, std::min(out_dim, 2000000 / std::max<i64>(in_dim, 1)));
-    const std::string key = "fc:in=" + std::to_string(in_dim) +
-                            ",out=" + std::to_string(out_dim);
-
-    std::vector<float> weights(static_cast<size_t>(rows * in_dim));
-    std::vector<float> x(static_cast<size_t>(in_dim));
-    fill_uniform(weights, 29);
-    fill_uniform(x, 31);
-
-    std::vector<TuneCandidate> candidates(2);
-    candidates[0].name = "scalar";
-    candidates[0].id = 0;
-    candidates[0].run = [&weights, &x, rows, in_dim]() {
-        float sink = 0.0f;
-        for (i64 r = 0; r < rows; ++r) {
-            const float *w =
-                weights.data() + static_cast<size_t>(r * in_dim);
-            float acc = 0.0f;
-            for (i64 i = 0; i < in_dim; ++i) {
-                acc += w[i] * x[static_cast<size_t>(i)];
-            }
-            sink += acc;
-        }
-        consume(sink);
-    };
-    candidates[1].name = "simd";
-    candidates[1].id = 1;
-    candidates[1].run = [&weights, &x, rows, in_dim]() {
-        float sink = 0.0f;
-        for (i64 r = 0; r < rows; ++r) {
-            sink += fc_dot_simd(
-                weights.data() + static_cast<size_t>(r * in_dim),
-                x.data(), in_dim, 0.0f);
-        }
-        consume(sink);
-    };
-    return KernelTuner::instance()
-               .pick(key, candidates, budget_us)
-               .id == 1;
-}
-
 } // namespace eva2

@@ -5,13 +5,12 @@
  * The searchable space (in the spirit of AMOS's automatic mapping of
  * tensor computations onto hardware intrinsics): for each distinct
  * conv layer shape, the SIMD GEMM register-tile variants of
- * simd_kernels.h plus the scalar blocked reference; for each distinct
- * FC shape, the SIMD dot kernel vs the scalar chain. At plan-compile
- * time ExecutionPlan asks the tuner for the winner; the tuner
- * benchmarks the candidates on synthetic data of the real shape
- * (column-capped so tuning cost stays bounded) within a caller
- * budget, and caches the pick in a process-wide shape -> variant
- * table so recompiles and new sessions never re-tune.
+ * simd_kernels.h plus the scalar blocked reference — the one contest
+ * kind. At plan-compile time ExecutionPlan asks the tuner for the
+ * winner; the tuner benchmarks the candidates on synthetic data of
+ * the real shape (column-capped so tuning cost stays bounded) within
+ * a caller budget, and caches the pick in a process-wide shape ->
+ * variant table so recompiles and new sessions never re-tune.
  *
  * Determinism: within one process, one shape tunes exactly once —
  * every later plan compile returns the cached pick, so all plans for
@@ -22,8 +21,8 @@
  * (docs/simd_kernels.md).
  *
  * Only these bounded-divergence kernels are raced. Where a SIMD
- * kernel is bit-identical to its scalar twin (ReLU, the warp apply,
- * the RFBME diff tiles), the code takes it whenever
+ * kernel is bit-identical to its scalar twin (FC, ReLU, the warp
+ * apply, the RFBME diff tiles), the code takes it whenever
  * simd_supported(), with no contest.
  */
 #ifndef EVA2_CNN_KERNEL_TUNER_H
@@ -103,12 +102,6 @@ class KernelTuner
  */
 GemmVariant tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
                            bool fuse_relu, i64 budget_us);
-
-/**
- * Whether the SIMD FC dot kernel wins over the scalar chain for one
- * FC shape. False when SIMD is unsupported.
- */
-bool tune_fc_simd(i64 in_dim, i64 out_dim, i64 budget_us);
 
 } // namespace eva2
 

@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 
-#include "simd/simd_kernels.h"
 #include "tensor/tensor.h"
 
 namespace eva2 {
@@ -57,23 +56,6 @@ struct WindowGeometry
 constexpr i64 kMaxSuffixBatch = 64;
 
 /**
- * Execution context for allocation-free forwarding. The destination
- * is owned by the caller — in planned execution, by a per-worker
- * ScratchArena — so the layer writes in place instead of returning a
- * fresh tensor.
- */
-struct ForwardCtx
-{
-    /** Destination, already shaped to out_shape(in.shape()). */
-    Tensor *out = nullptr;
-    /**
-     * Run FC layers through the SIMD dot kernel (tuner-selected, see
-     * kernel_tuner.h). Bounded-divergence; requires simd_supported().
-     */
-    bool simd_fc = false;
-};
-
-/**
  * Abstract base class for all layers. Layers are stateless with
  * respect to execution: forward() is const and may be called from
  * multiple frames/pipelines concurrently.
@@ -87,16 +69,18 @@ class Layer
     virtual Tensor forward(const Tensor &in) const = 0;
 
     /**
-     * Run the layer into caller-owned storage (see ForwardCtx). The
-     * built-in pointwise, pool and FC layers overwrite *ctx.out
-     * without allocating; this default covers the rest (ExecutionPlan
-     * runs convs itself, see conv_kernels.h) by falling back to
-     * forward(). `in` and `*ctx.out` must not alias.
+     * Run the layer into caller-owned storage, already shaped to
+     * out_shape(in.shape()) — in planned execution, a per-worker
+     * ScratchArena slot — instead of returning a fresh tensor. The
+     * built-in pointwise, pool and FC layers overwrite `out` without
+     * allocating; this default covers the rest (ExecutionPlan runs
+     * convs itself, see conv_kernels.h) by falling back to forward().
+     * `in` and `out` must not alias.
      */
     virtual void
-    forward_into(const Tensor &in, const ForwardCtx &ctx) const
+    forward_into(const Tensor &in, Tensor &out) const
     {
-        *ctx.out = forward(in);
+        out = forward(in);
     }
 
     /** Output shape for a given input shape (without executing). */

@@ -22,16 +22,13 @@ Tensor
 MaxPoolLayer::forward(const Tensor &in) const
 {
     Tensor out(out_shape(in.shape()));
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
+    forward_into(in, out);
     return out;
 }
 
 void
-MaxPoolLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
+MaxPoolLayer::forward_into(const Tensor &in, Tensor &out) const
 {
-    Tensor &out = *ctx.out;
     const Shape os = out.shape();
     for (i64 c = 0; c < os.c; ++c) {
         for (i64 oy = 0; oy < os.h; ++oy) {

@@ -19,8 +19,7 @@ class MaxPoolLayer : public Layer
     MaxPoolLayer(i64 kernel, i64 stride, i64 pad = 0);
 
     Tensor forward(const Tensor &in) const override;
-    void forward_into(const Tensor &in,
-                      const ForwardCtx &ctx) const override;
+    void forward_into(const Tensor &in, Tensor &out) const override;
     Shape out_shape(const Shape &in) const override;
     LayerKind kind() const override { return LayerKind::kPool; }
     WindowGeometry geometry() const override

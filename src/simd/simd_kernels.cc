@@ -2,8 +2,8 @@
  * @file
  * The one ISA-flagged translation unit: every explicit-SIMD kernel
  * variant is implemented here against the Vec wrapper, and the build
- * compiles this file (alone) with elevated ISA flags — `-mavx2 -mfma
- * -ffp-contract=off` on x86_64 when EVA2_SIMD is ON. Nothing in this
+ * compiles this file (alone) with elevated ISA flags — `-mavx2 -mfma`
+ * on x86_64 when EVA2_SIMD is ON. Nothing in this
  * file runs unless the caller checked simd_supported() first, so the
  * binary stays runnable on machines without the elevated ISA.
  *
@@ -258,79 +258,133 @@ gemm_strip_width(GemmVariant variant)
     return 4 * static_cast<i64>(g.nv) * VecF::kLanes;
 }
 
-float
-fc_dot_simd(const float *w, const float *x, i64 n, float bias)
-{
-    constexpr i64 L = VecF::kLanes;
-    VecF a0 = VecF::zero();
-    VecF a1 = VecF::zero();
-    VecF a2 = VecF::zero();
-    VecF a3 = VecF::zero();
-    i64 i = 0;
-    for (; i + 4 * L <= n; i += 4 * L) {
-        a0 = a0.fma(VecF::load(w + i), VecF::load(x + i));
-        a1 = a1.fma(VecF::load(w + i + L), VecF::load(x + i + L));
-        a2 = a2.fma(VecF::load(w + i + 2 * L),
-                    VecF::load(x + i + 2 * L));
-        a3 = a3.fma(VecF::load(w + i + 3 * L),
-                    VecF::load(x + i + 3 * L));
-    }
-    for (; i + L <= n; i += L) {
-        a0 = a0.fma(VecF::load(w + i), VecF::load(x + i));
-    }
-    float s = ((a0 + a1) + (a2 + a3)).hsum();
-    for (; i < n; ++i) {
-        s += w[i] * x[i];
-    }
-    return bias + s;
-}
-
 namespace {
 
+/**
+ * Columns [i, i + L) of L weight rows as L vectors, t[k] lane r =
+ * rows[r][i + k]: one vector lane per output neuron. AVX2 transposes
+ * the 8x8 block in registers; other ISAs go through a stack tile.
+ */
+inline void
+fc_load_transposed(const float *const *rows, i64 i, VecF *t)
+{
+#if defined(EVA2_SIMD_ISA_AVX2)
+    // Each half h covers columns i + 4h .. i + 4h + 3: r[j] holds row j
+    // in its low 128 bits and row j + 4 in its high 128 bits, so one
+    // in-lane 4x4 transpose yields four full 8-neuron columns.
+    for (int h = 0; h < 2; ++h) {
+        const i64 c = i + 4 * h;
+        __m256 r[4];
+        for (int j = 0; j < 4; ++j) {
+            r[j] = _mm256_insertf128_ps(
+                _mm256_castps128_ps256(_mm_loadu_ps(rows[j] + c)),
+                _mm_loadu_ps(rows[j + 4] + c), 1);
+        }
+        const __m256 u0 = _mm256_unpacklo_ps(r[0], r[1]);
+        const __m256 u1 = _mm256_unpackhi_ps(r[0], r[1]);
+        const __m256 u2 = _mm256_unpacklo_ps(r[2], r[3]);
+        const __m256 u3 = _mm256_unpackhi_ps(r[2], r[3]);
+        t[4 * h + 0].v =
+            _mm256_shuffle_ps(u0, u2, _MM_SHUFFLE(1, 0, 1, 0));
+        t[4 * h + 1].v =
+            _mm256_shuffle_ps(u0, u2, _MM_SHUFFLE(3, 2, 3, 2));
+        t[4 * h + 2].v =
+            _mm256_shuffle_ps(u1, u3, _MM_SHUFFLE(1, 0, 1, 0));
+        t[4 * h + 3].v =
+            _mm256_shuffle_ps(u1, u3, _MM_SHUFFLE(3, 2, 3, 2));
+    }
+#else
+    constexpr i64 L = VecF::kLanes;
+    float tile[L][L];
+    for (i64 k = 0; k < L; ++k) {
+        for (i64 r = 0; r < L; ++r) {
+            tile[k][r] = rows[r][i + k];
+        }
+    }
+    for (i64 k = 0; k < L; ++k) {
+        t[k] = VecF::load(tile[k]);
+    }
+#endif
+}
+
+/**
+ * One block of L output neurons (one per lane) for NB samples: each
+ * lane starts from its bias and adds w * x, one input at a time in
+ * ascending order — the scalar chain's operations, lane by lane.
+ */
 template <int NB>
 void
-fc_dot_batched_impl(const float *w, float bias, const float *const *xs,
-                    i64 n, float *out)
+fc_lane_block(const float *const *rows, VecF bias, i64 in_dim,
+              const float *const *xs, VecF *acc)
 {
     constexpr i64 L = VecF::kLanes;
-    VecF acc[NB];
     for (int s = 0; s < NB; ++s) {
-        acc[s] = VecF::zero();
+        acc[s] = bias;
     }
     i64 i = 0;
-    for (; i + L <= n; i += L) {
-        const VecF wv = VecF::load(w + i);
-        for (int s = 0; s < NB; ++s) {
-            acc[s] = acc[s].fma(wv, VecF::load(xs[s] + i));
+    for (; i + L <= in_dim; i += L) {
+        VecF t[L];
+        fc_load_transposed(rows, i, t);
+        for (i64 k = 0; k < L; ++k) {
+            for (int s = 0; s < NB; ++s) {
+                acc[s] = acc[s] + t[k] * VecF::broadcast(xs[s][i + k]);
+            }
         }
     }
-    for (int s = 0; s < NB; ++s) {
-        float t = acc[s].hsum();
-        for (i64 j = i; j < n; ++j) {
-            t += w[j] * xs[s][j];
+    for (; i < in_dim; ++i) {
+        float col[L];
+        for (i64 r = 0; r < L; ++r) {
+            col[r] = rows[r][i];
         }
-        out[s] = bias + t;
+        const VecF c = VecF::load(col);
+        for (int s = 0; s < NB; ++s) {
+            acc[s] = acc[s] + c * VecF::broadcast(xs[s][i]);
+        }
     }
 }
+
+/** Samples sharing one transposed weight block. */
+constexpr i64 kFcSamples = 8;
+
+using FcLaneBlock = void (*)(const float *const *, VecF, i64,
+                             const float *const *, VecF *);
+
+constexpr FcLaneBlock kFcLaneBlocks[kFcSamples] = {
+    fc_lane_block<1>, fc_lane_block<2>, fc_lane_block<3>,
+    fc_lane_block<4>, fc_lane_block<5>, fc_lane_block<6>,
+    fc_lane_block<7>, fc_lane_block<8>,
+};
 
 } // namespace
 
 void
-fc_dot_batched_simd(const float *w, float bias, const float *const *xs,
-                    i64 nb, i64 n, float *out)
+fc_rows_simd(const float *weights, const float *biases, i64 in_dim,
+             i64 o0, i64 o1, const float *const *xs, i64 nb,
+             float *const *ys)
 {
-    switch (nb) {
-      case 1: fc_dot_batched_impl<1>(w, bias, xs, n, out); return;
-      case 2: fc_dot_batched_impl<2>(w, bias, xs, n, out); return;
-      case 3: fc_dot_batched_impl<3>(w, bias, xs, n, out); return;
-      case 4: fc_dot_batched_impl<4>(w, bias, xs, n, out); return;
-      case 5: fc_dot_batched_impl<5>(w, bias, xs, n, out); return;
-      case 6: fc_dot_batched_impl<6>(w, bias, xs, n, out); return;
-      case 7: fc_dot_batched_impl<7>(w, bias, xs, n, out); return;
-      case 8: fc_dot_batched_impl<8>(w, bias, xs, n, out); return;
-      default:
-        throw InternalError("fc_dot_batched_simd: block width out of "
-                            "range");
+    constexpr i64 L = VecF::kLanes;
+    for (i64 ob = o0; ob < o1; ob += L) {
+        const i64 on = std::min(L, o1 - ob);
+        // A partial block repeats its last row in the spare lanes and
+        // drops their results, so no read passes row o1 - 1.
+        const float *rows[L];
+        float bias[L];
+        for (i64 r = 0; r < L; ++r) {
+            const i64 o = ob + std::min(r, on - 1);
+            rows[r] = weights + o * in_dim;
+            bias[r] = biases[o];
+        }
+        const VecF b = VecF::load(bias);
+        for (i64 s0 = 0; s0 < nb; s0 += kFcSamples) {
+            const i64 sn = std::min(kFcSamples, nb - s0);
+            VecF acc[kFcSamples];
+            kFcLaneBlocks[sn - 1](rows, b, in_dim, xs + s0, acc);
+            for (i64 s = 0; s < sn; ++s) {
+                float out[L];
+                acc[s].store(out);
+                std::copy(out, out + on, ys[s0 + s] + ob);
+            }
+        }
     }
 }
 

@@ -11,19 +11,18 @@
  *
  * Two numeric classes of kernel live here:
  *
- *  - Bit-exact: relu_simd, the warp_apply_* kernels, and the SAD
- *    kernels (sad_span_simd / sad_tile_row_simd) perform, per
- *    element, exactly the operation sequence of the scalar reference
- *    (lane-parallel max / mul / add, no fma, no reordering; the SAD
- *    kernels reproduce the fixed-stripe reduction contract of
+ *  - Bit-exact: fc_rows_simd, relu_simd, the warp_apply_* kernels,
+ *    and the SAD kernels (sad_span_simd / sad_tile_row_simd) perform,
+ *    per element, exactly the operation sequence of the scalar
+ *    reference (lane-parallel max / mul / add, no fma, no reordering;
+ *    the SAD kernels reproduce the fixed-stripe reduction contract of
  *    flow/sad_kernels.h). They are drop-in replacements and need no
  *    divergence gating.
  *  - Bounded-divergence: the GEMM micro-kernels (fma: one rounding
- *    where the scalar reference has two) and the FC kernels (fma plus
- *    a tree-order horizontal sum). These are only selected through
- *    the `kernel=tuned` path, which the two-tier verification story
- *    gates on the tensor_ops ulp/L-inf digest check and end-task
- *    accuracy parity (docs/simd_kernels.md).
+ *    where the scalar reference has two). These are only selected
+ *    through the `kernel=tuned` path, which the two-tier verification
+ *    story gates on the tensor_ops ulp/L-inf digest check and
+ *    end-task accuracy parity (docs/simd_kernels.md).
  */
 #ifndef EVA2_SIMD_SIMD_KERNELS_H
 #define EVA2_SIMD_SIMD_KERNELS_H
@@ -91,21 +90,19 @@ void gemm_strip_simd(GemmVariant variant, const float *weights,
 i64 gemm_strip_width(GemmVariant variant);
 
 /**
- * SIMD dot product: bias + sum_i w[i] * x[i], accumulated in four
- * independent vector chains (fma) and reduced pairwise. Bounded
- * divergence vs the scalar left-to-right chain.
+ * SIMD fully connected rows [o0, o1) for nb >= 1 samples:
+ * ys[s][o] = biases[o] + sum_i weights[o * in_dim + i] * xs[s][i],
+ * with `weights` row-major [out][in]. Bit-exact vs fc_rows_scalar
+ * (cnn/fc_layer.h) on every input: each vector lane holds one output
+ * neuron, starts from its bias and adds one explicit product per
+ * input, in ascending input order — the scalar chain, lane by lane.
+ * The lanes' weights come from the row-major rows through an
+ * in-register transpose, so no packed copy of the matrix exists; up
+ * to 8 samples share each transposed block.
  */
-float fc_dot_simd(const float *w, const float *x, i64 n, float bias);
-
-/**
- * Batched SIMD FC row: one weight row dotted against nb sample
- * vectors (nb <= 8), each sample accumulated independently as in
- * fc_dot_simd. The weight vector is loaded once per block of taps
- * and reused across samples.
- */
-void fc_dot_batched_simd(const float *w, float bias,
-                         const float *const *xs, i64 nb, i64 n,
-                         float *out);
+void fc_rows_simd(const float *weights, const float *biases, i64 in_dim,
+                  i64 o0, i64 o1, const float *const *xs, i64 nb,
+                  float *const *ys);
 
 /** Lane-parallel max(x, 0): bit-exact vs the scalar loop. */
 void relu_simd(const float *in, float *out, i64 n);

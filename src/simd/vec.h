@@ -26,12 +26,11 @@
  *    not bit-identical to it. Kernels that must stay bit-exact with
  *    the scalar reference use mul+add; kernels gated by the
  *    bounded-divergence check use fma.
- *  - hsum() reduces lanes pairwise (tree order) — a reassociation of
- *    the scalar left-to-right sum, again bounded-divergence only.
  *
- * The designated SIMD TUs are compiled with -ffp-contract=off so the
- * compiler cannot *implicitly* fuse what the kernels spell out as
- * mul+add; every fma in a kernel is an explicit fma() call.
+ * The whole library is compiled with -ffp-contract=off so the
+ * compiler cannot *implicitly* fuse what the kernels — and the scalar
+ * references they must match — spell out as mul+add; every fma in a
+ * kernel is an explicit fma() call.
  */
 #ifndef EVA2_SIMD_VEC_H
 #define EVA2_SIMD_VEC_H
@@ -96,17 +95,6 @@ template <> struct Vec<float>
     {
         return {_mm256_fmadd_ps(a.v, b.v, v)};
     }
-    /** Pairwise (tree-order) horizontal sum of the lanes. */
-    float
-    hsum() const
-    {
-        const __m128 lo = _mm256_castps256_ps128(v);
-        const __m128 hi = _mm256_extractf128_ps(v, 1);
-        __m128 s = _mm_add_ps(lo, hi);           // 0+4 1+5 2+6 3+7
-        s = _mm_add_ps(s, _mm_movehl_ps(s, s));  // +lanes 2,3
-        s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-        return _mm_cvtss_f32(s);
-    }
 };
 
 #elif defined(EVA2_SIMD_ISA_SSE2)
@@ -143,13 +131,6 @@ template <> struct Vec<float>
     fma(Vec a, Vec b) const
     {
         return {_mm_add_ps(v, _mm_mul_ps(a.v, b.v))};
-    }
-    float
-    hsum() const
-    {
-        __m128 s = _mm_add_ps(v, _mm_movehl_ps(v, v));
-        s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-        return _mm_cvtss_f32(s);
     }
 };
 
@@ -191,22 +172,6 @@ template <> struct Vec<float>
         return {vmlaq_f32(v, a.v, b.v)};
 #endif
     }
-    float
-    hsum() const
-    {
-#if defined(__aarch64__)
-        // vaddvq is a pairwise tree reduction, matching the
-        // documented hsum order.
-        const float32x2_t lohi =
-            vadd_f32(vget_low_f32(v), vget_high_f32(v));
-        return vget_lane_f32(vpadd_f32(lohi, lohi), 0);
-#else
-        const float32x2_t lohi =
-            vadd_f32(vget_low_f32(v), vget_high_f32(v));
-        const float32x2_t s = vpadd_f32(lohi, lohi);
-        return vget_lane_f32(s, 0);
-#endif
-    }
 };
 
 #else // EVA2_SIMD_ISA_SCALAR
@@ -236,7 +201,6 @@ template <> struct Vec<float>
         return {a.v > b.v ? a.v : b.v};
     }
     Vec fma(Vec a, Vec b) const { return {v + a.v * b.v}; }
-    float hsum() const { return v; }
 };
 
 #endif

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "flow/block_matching.h"
 #include "flow/optical_flow.h"
 #include "flow/rfbme.h"
@@ -458,6 +460,25 @@ TEST(RfbmeInto, WorkspaceSurvivesAConfigChange)
 // kSimd variant falls back to the scalar kernels, so this suite is
 // meaningful in the EVA2_SIMD=OFF and sanitizer CI legs too.
 
+/**
+ * A frame of finite values with random binary exponents. Pixel-range
+ * frames cannot show a reordered SAD reduction: differences of
+ * same-magnitude floats sum exactly in double in any order. The
+ * exponents are drawn as SimdKernels.SadKernelsMatchScalarBitForBit
+ * draws them.
+ */
+Tensor
+wide_range_frame(i64 h, i64 w, u64 seed)
+{
+    Rng rng(seed);
+    Tensor t(1, h, w);
+    for (i64 i = 0; i < t.size(); ++i) {
+        const int e = static_cast<int>(rng.uniform_int(-30, 30));
+        t[i] = std::ldexp(rng.uniform_f(-1.0f, 2.0f), e);
+    }
+    return t;
+}
+
 void
 expect_bit_identical(const RfbmeResult &a, const RfbmeResult &b)
 {
@@ -477,7 +498,12 @@ TEST(RfbmeParity, ScalarAndSimdBitIdenticalAcrossBorderClipping)
     // image extent so candidate offsets clip at every border. Tile
     // widths cover each SIMD code path: s=2 and s=4 vectorize across
     // tiles, s=8 is one full vector, s=13 exercises the vector +
-    // stripe-remainder path, s=3 the scalar-contract tail.
+    // stripe-remainder path, s=3 the scalar-contract tail, and s=5 and
+    // s=6 fill five and six stripes, the shortest spans whose stripe
+    // reduction order changes a sum. Each case runs pixel-range frames
+    // and wide-range frames (the same motion, values with random
+    // binary exponents); only the wide-range pair can tell a reordered
+    // SAD sum from the contract's order.
     const RfbmeCase cases[] = {
         {19, 23, {5, 3, 1, 30, 7}, 61},
         {18, 14, {6, 2, 2, 16, 3}, 62},
@@ -485,6 +511,8 @@ TEST(RfbmeParity, ScalarAndSimdBitIdenticalAcrossBorderClipping)
         {40, 36, {12, 4, 2, 40, 9}, 64},
         {26, 22, {13, 13, 6, 30, 11}, 65},
         {24, 24, {16, 8, 0, 25, 25}, 66},
+        {40, 45, {15, 5, 5, 6, 3}, 67},
+        {36, 42, {18, 6, 6, 6, 2}, 68},
     };
     for (const RfbmeCase &tc : cases) {
         const Tensor key = noise_frame(tc.h, tc.w, tc.seed);
@@ -512,6 +540,19 @@ TEST(RfbmeParity, ScalarAndSimdBitIdenticalAcrossBorderClipping)
             EXPECT_NEAR(rs.rf_errors[i], naive.rf_errors[i], 1e-9)
                 << tc.h << "x" << tc.w << " cell " << i;
         }
+
+        // Wide-range frames, scalar vs SIMD bit for bit. The naive
+        // reference's different summation order stays out: its
+        // tolerance would have to span the values' exponent range.
+        const Tensor wide_key =
+            wide_range_frame(tc.h, tc.w, tc.seed + 100);
+        Tensor wide_cur = translate(wide_key, -1, 2);
+        for (i64 i = 0; i < wide_cur.size(); ++i) {
+            wide_cur[i] *= 1.0f + rng.uniform_f(-0.02f, 0.02f);
+        }
+        SCOPED_TRACE("wide-range frames");
+        expect_bit_identical(rfbme(wide_key, wide_cur, scalar_cfg),
+                             rfbme(wide_key, wide_cur, simd_cfg));
     }
 }
 

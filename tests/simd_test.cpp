@@ -5,18 +5,18 @@
  *
  *  - tier 1, bit-exact: the scalar kernels stay the reference oracle,
  *    and the lane-parallel SIMD kernels that only reorder value-safe
- *    ops (ReLU, warp gather/select, the SAD span/tile kernels) must
- *    match them bit for bit;
- *  - tier 2, bounded divergence: the fma/tree-reduction kernels
- *    (GEMM register tiles, FC dot) may differ from the scalar chains
- *    only within a small ulp/absolute envelope, and end-task results
- *    (classification argmax) must be unchanged.
+ *    ops (FC, ReLU, warp gather/select, the SAD span/tile kernels)
+ *    must match them bit for bit;
+ *  - tier 2, bounded divergence: the fma GEMM register tiles may
+ *    differ from the scalar chains only within a small ulp/absolute
+ *    envelope, and end-task results (classification argmax) must be
+ *    unchanged.
  *
  * Plus the ulp-distance helpers the envelope is measured with, the
  * per-shape autotuner (determinism, process-wide caching), the
  * `kernel=tuned` registry spec, zero-steady-state allocation of tuned
- * plans, and the RunReport provenance rows (simd_isa, per-step
- * variant).
+ * plans, bit identity of tuned plans across batch shapes, and the
+ * RunReport provenance rows (simd_isa, per-step variant).
  *
  * Every SIMD-dependent case self-skips when simd_supported() is
  * false, so this suite stays green on the EVA2_SIMD=OFF CI leg and on
@@ -24,6 +24,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -48,9 +49,9 @@
 namespace eva2 {
 namespace {
 
-/// Divergence envelope for the bounded-divergence kernels: fma and
-/// 4-chain tree reduction reassociate long dot products, so per-tap
-/// rounding differences accumulate. 64 ulps is orders of magnitude
+/// Divergence envelope for the bounded-divergence kernels: fma drops
+/// one rounding per tap of a long dot product, so per-tap rounding
+/// differences accumulate. 64 ulps is orders of magnitude
 /// tighter than any task-level tolerance while leaving room for the
 /// longest suffix reductions; the absolute escape covers results near
 /// zero, where a single reordered rounding can cross many ulps.
@@ -291,6 +292,85 @@ TEST(SimdKernels, SadKernelsMatchScalarBitForBit)
     }
 }
 
+/** The bit pattern of a float, so -0.0 and +0.0 compare unequal. */
+u32
+float_bits(float v)
+{
+    u32 bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/**
+ * The FC kernel every plan and Network::forward run whenever the CPU
+ * has SIMD must equal the scalar body (the seed's chain) bit for bit,
+ * so plan-vs-seed digests cannot catch a wrong kernel: swept over
+ * batch sizes 1-11 (one and two sample blocks), input lengths 1-17
+ * plus 130, 515 and 2048 (whole transposed blocks and every column
+ * tail) and output lengths 1-17 plus 64 (every partial lane block).
+ * The SIMD side runs in 11-row ranges, as a thread split would, so
+ * ranges also start off the 8-lane grid. Values get random binary
+ * exponents, as in the SAD case: a reassociated chain rounds
+ * differently only when the products' and partial sums' magnitudes
+ * differ.
+ */
+TEST(SimdKernels, FcKernelMatchesScalarBitForBit)
+{
+    if (!simd_supported()) {
+        GTEST_SKIP() << "no SIMD on this machine";
+    }
+    constexpr i64 kMaxSamples = 11;
+    std::vector<i64> in_dims, out_dims;
+    for (i64 d = 1; d <= 17; ++d) {
+        in_dims.push_back(d);
+        out_dims.push_back(d);
+    }
+    in_dims.insert(in_dims.end(), {130, 515, 2048});
+    out_dims.push_back(64);
+    Rng rng(73);
+    const auto draw = [&rng](std::vector<float> &v) {
+        for (float &x : v) {
+            const int e = static_cast<int>(rng.uniform_int(-30, 30));
+            x = std::ldexp(rng.uniform_f(-1.0f, 2.0f), e);
+        }
+    };
+    for (const i64 in_dim : in_dims) {
+        std::vector<float> x(static_cast<size_t>(kMaxSamples * in_dim));
+        draw(x);
+        for (const i64 out_dim : out_dims) {
+            std::vector<float> w(static_cast<size_t>(out_dim * in_dim));
+            std::vector<float> b(static_cast<size_t>(out_dim));
+            draw(w);
+            draw(b);
+            for (i64 n = 1; n <= kMaxSamples; ++n) {
+                std::vector<float> want(static_cast<size_t>(n * out_dim));
+                std::vector<float> got(want.size(), -1.0f);
+                std::vector<const float *> xs;
+                std::vector<float *> ys_want, ys_got;
+                for (i64 s = 0; s < n; ++s) {
+                    xs.push_back(x.data() + s * in_dim);
+                    ys_want.push_back(want.data() + s * out_dim);
+                    ys_got.push_back(got.data() + s * out_dim);
+                }
+                fc_rows_scalar(w.data(), b.data(), in_dim, 0, out_dim,
+                               xs.data(), n, ys_want.data());
+                for (i64 o0 = 0; o0 < out_dim; o0 += 11) {
+                    fc_rows_simd(w.data(), b.data(), in_dim, o0,
+                                 std::min<i64>(o0 + 11, out_dim),
+                                 xs.data(), n, ys_got.data());
+                }
+                for (size_t i = 0; i < want.size(); ++i) {
+                    ASSERT_EQ(float_bits(got[i]), float_bits(want[i]))
+                        << "in_dim=" << in_dim << " out_dim=" << out_dim
+                        << " n=" << n << " sample "
+                        << static_cast<i64>(i) / out_dim << " neuron "
+                        << static_cast<i64>(i) % out_dim;
+                }
+            }
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // Tier 2: bounded-divergence SIMD kernels vs the scalar oracle
 
@@ -352,78 +432,6 @@ TEST(SimdKernels, GemmVariantsWithinToleranceOfScalar)
     }
 }
 
-TEST(SimdKernels, FcDotWithinToleranceOfScalar)
-{
-    if (!simd_supported()) {
-        GTEST_SKIP() << "no SIMD on this machine";
-    }
-    for (const i64 in_dim : {5, 32, 100, 515}) {
-        FcLayer fc(in_dim, 17);
-        Rng rng(61);
-        for (float &w : fc.weights()) {
-            w = rng.uniform_f(-0.5f, 0.5f);
-        }
-        for (float &b : fc.biases()) {
-            b = rng.uniform_f(-0.5f, 0.5f);
-        }
-        const Tensor in = random_tensor(Shape{in_dim, 1, 1}, 67);
-        Tensor ref(fc.out_shape(in.shape()));
-        Tensor out(fc.out_shape(in.shape()));
-        ForwardCtx ctx;
-        ctx.out = &ref;
-        fc.forward_into(in, ctx);
-        ctx.out = &out;
-        ctx.simd_fc = true;
-        fc.forward_into(in, ctx);
-        EXPECT_TRUE(within_tolerance(ref, out, kMaxUlp, kMaxAbs))
-            << "in_dim=" << in_dim
-            << " max_ulp=" << max_ulp_diff(ref, out);
-    }
-}
-
-TEST(SimdKernels, BatchedFcDotWithinToleranceAcrossBatchSizes)
-{
-    if (!simd_supported()) {
-        GTEST_SKIP() << "no SIMD on this machine";
-    }
-    const i64 in_dim = 130;
-    const i64 out_dim = 19;
-    FcLayer fc(in_dim, out_dim);
-    Rng rng(71);
-    for (float &w : fc.weights()) {
-        w = rng.uniform_f(-0.5f, 0.5f);
-    }
-    for (float &b : fc.biases()) {
-        b = rng.uniform_f(-0.5f, 0.5f);
-    }
-    for (const i64 nb : {1, 3, 8, 11}) {
-        std::vector<Tensor> ins;
-        std::vector<Tensor> refs(nb, Tensor(Shape{out_dim, 1, 1}));
-        std::vector<Tensor> outs(nb, Tensor(Shape{out_dim, 1, 1}));
-        for (i64 i = 0; i < nb; ++i) {
-            ins.push_back(random_tensor(Shape{in_dim, 1, 1},
-                                        100 + static_cast<u64>(i)));
-        }
-        std::vector<const Tensor *> in_ptrs;
-        std::vector<Tensor *> ref_ptrs;
-        std::vector<Tensor *> out_ptrs;
-        for (i64 i = 0; i < nb; ++i) {
-            in_ptrs.push_back(&ins[i]);
-            ref_ptrs.push_back(&refs[i]);
-            out_ptrs.push_back(&outs[i]);
-        }
-        fc.forward_batched(in_ptrs.data(), nb, ref_ptrs.data(),
-                           /*simd=*/false);
-        fc.forward_batched(in_ptrs.data(), nb, out_ptrs.data(),
-                           /*simd=*/true);
-        for (i64 i = 0; i < nb; ++i) {
-            EXPECT_TRUE(
-                within_tolerance(refs[i], outs[i], kMaxUlp, kMaxAbs))
-                << "nb=" << nb << " sample " << i;
-        }
-    }
-}
-
 // --------------------------------------------------------------------
 // Autotuner
 
@@ -454,18 +462,6 @@ TEST(KernelTuner, FuseIsPartOfTheTuningKey)
     if (simd_supported()) {
         // Different epilogue -> different key -> a fresh contest.
         EXPECT_EQ(KernelTuner::instance().contests(), contests + 1);
-    }
-}
-
-TEST(KernelTuner, FcPickIsCachedAndDeterministic)
-{
-    const bool first = tune_fc_simd(256, 32, 2000);
-    const i64 contests = KernelTuner::instance().contests();
-    const bool second = tune_fc_simd(256, 32, 2000);
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(KernelTuner::instance().contests(), contests);
-    if (!simd_supported()) {
-        EXPECT_FALSE(first);
     }
 }
 
@@ -556,15 +552,21 @@ TEST(TunedPlan, ReportsChosenVariants)
         }
         if (s.kernel == "fc") {
             saw_fc = true;
-            EXPECT_TRUE(s.variant == "simd" || s.variant == "scalar");
+            EXPECT_EQ(s.variant, simd_supported() ? "simd" : "scalar")
+                << s.layer;
         }
     }
     EXPECT_TRUE(saw_conv);
     EXPECT_TRUE(saw_fc);
-    // The untuned plan reports the scalar reference everywhere.
+    // The untuned plan runs the scalar GEMM reference, and the same
+    // bit-exact FC kernel as the tuned plan.
     for (const PlanStepInfo &s : ExecutionPlan(net).describe()) {
-        if (s.kernel == "im2col_gemm" || s.kernel == "fc") {
+        if (s.kernel == "im2col_gemm") {
             EXPECT_EQ(s.variant, "scalar") << s.layer;
+        }
+        if (s.kernel == "fc") {
+            EXPECT_EQ(s.variant, simd_supported() ? "simd" : "scalar")
+                << s.layer;
         }
     }
 }
@@ -590,53 +592,19 @@ TEST(TunedPlan, ReachesAllocationSteadyState)
         << "tuned plan.run allocated in steady state";
 }
 
-TEST(TunedPlan, BatchedRunWithinToleranceOfUnbatchedTuned)
-{
-    ScaledBuildOptions build;
-    build.input = Shape{1, 48, 48};
-    const Network net = build_scaled(alexnet_spec(), build);
-    PlanOptions topts;
-    topts.tune = true;
-    topts.tune_budget_us = 1000;
-    const ExecutionPlan single(net, topts);
-    const ExecutionPlan batched(single, /*max_batch=*/4);
-
-    std::vector<Tensor> ins;
-    for (u64 i = 0; i < 4; ++i) {
-        ins.push_back(random_tensor(net.input_shape(), 120 + i));
-    }
-    std::vector<const Tensor *> in_ptrs;
-    for (const Tensor &t : ins) {
-        in_ptrs.push_back(&t);
-    }
-    std::vector<const Tensor *> outs(4);
-    ScratchArena batch_arena, single_arena;
-    batched.run(in_ptrs.data(), 4, outs.data(), batch_arena);
-    for (i64 i = 0; i < 4; ++i) {
-        const Tensor &ref = single.run(ins[i], single_arena);
-        // Both plans run the same tuner-picked conv variants, but a
-        // SIMD FC step differs: the four-sample plan runs the batched
-        // SIMD dot, whose chains differ from fc_dot_simd's. The
-        // contract between the two plan shapes is the envelope.
-        EXPECT_TRUE(within_tolerance(ref, *outs[i], kMaxUlp, kMaxAbs))
-            << "sample " << i;
-    }
-}
-
 /**
- * Batch formation never moves a tuned digest: a plan's FC kernel is
- * fixed when it is compiled (batched for max_batch > 1), never chosen
- * by a run's n, and SIMD GEMM strips never span two samples, so a
- * four-sample tuned plan gives each sample the same output bits at
- * every n. Swept over the two served suffixes: faster16 at 96 px
- * after its early target (6x6 planes, not a whole number of AVX2
- * vectors) and alexnet at 128 px with 2048-wide FCs.
+ * A sample's bits never depend on the plan's shape: a tuned plan
+ * compiled for four samples gives every sample, at every n, the bits
+ * of a tuned one-sample plan. The tuner picks GEMM tiles per layer
+ * shape, SIMD GEMM strips never span two samples, and every FC step
+ * runs the one bit-exact FC kernel. Swept over the two served
+ * suffixes, faster16 at 96 px after its early target (6x6 planes, not
+ * a whole number of AVX2 vectors) and alexnet at 128 px with
+ * 2048-wide FCs, and over the whole alexnet at 48 px (conv1's 11x11
+ * stride-4 window, LRN, every pool and the FCs).
  */
-TEST(TunedPlan, BatchSizeNeverChangesASamplesBits)
+TEST(TunedPlan, BatchedRunBitIdenticalToUnbatchedTuned)
 {
-    if (!simd_supported()) {
-        GTEST_SKIP() << "no SIMD on this machine";
-    }
     ScaledBuildOptions detect_build;
     detect_build.input = Shape{1, 96, 96};
     const Network detect = build_scaled(faster16_spec(), detect_build);
@@ -644,18 +612,23 @@ TEST(TunedPlan, BatchSizeNeverChangesASamplesBits)
     classify_build.input = Shape{1, 128, 128};
     classify_build.fc_dim = 2048;
     const Network classify = build_scaled(alexnet_spec(), classify_build);
-    const std::pair<const Network *, i64> suffixes[] = {
+    ScaledBuildOptions small_build;
+    small_build.input = Shape{1, 48, 48};
+    const Network small = build_scaled(alexnet_spec(), small_build);
+    const std::pair<const Network *, i64> ranges[] = {
         {&detect, detect.first_pool_index() + 1},
         {&classify, classify.default_target_index() + 1},
+        {&small, 0},
     };
     PlanOptions topts;
     topts.tune = true;
     topts.tune_budget_us = 1000;
-    for (const auto &[net, begin] : suffixes) {
+    for (const auto &[net, begin] : ranges) {
         const Shape in_shape =
             ExecutionPlan(*net, 0, begin, net->input_shape()).out_shape();
-        const ExecutionPlan plan(*net, begin, net->num_layers(), in_shape,
-                                 topts, /*max_batch=*/4);
+        const ExecutionPlan single(*net, begin, net->num_layers(),
+                                   in_shape, topts);
+        const ExecutionPlan batched(single, /*max_batch=*/4);
         std::vector<Tensor> ins;
         for (u64 i = 0; i < 4; ++i) {
             ins.push_back(random_tensor(in_shape, 140 + i));
@@ -666,18 +639,16 @@ TEST(TunedPlan, BatchSizeNeverChangesASamplesBits)
         }
         ScratchArena arena;
         std::vector<Tensor> alone;
-        for (const Tensor *in : in_ptrs) {
-            const Tensor *out = nullptr;
-            plan.run(&in, 1, &out, arena);
-            alone.push_back(*out);
+        for (const Tensor &in : ins) {
+            alone.push_back(single.run(in, arena));
         }
-        for (i64 n = 2; n <= 4; ++n) {
+        for (i64 n = 1; n <= 4; ++n) {
             const Tensor *outs[kMaxSuffixBatch] = {};
-            plan.run(in_ptrs.data(), n, outs, arena);
+            batched.run(in_ptrs.data(), n, outs, arena);
             for (i64 i = 0; i < n; ++i) {
                 EXPECT_TRUE(*outs[i] == alone[static_cast<size_t>(i)])
-                    << net->name() << ": batch " << n << ", sample "
-                    << i;
+                    << net->name() << " from layer " << begin
+                    << ": batch " << n << ", sample " << i;
             }
         }
     }

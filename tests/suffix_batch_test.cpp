@@ -51,9 +51,12 @@ random_tensor(Shape shape, u64 seed)
  * The core bit-exactness contract: every sample of a four-sample
  * plan's run equals the seed Network::forward over the same layer
  * range exactly, at every batch size. The oracle runs none of the
- * plan's batched code (fresh tensors per layer, direct convs,
- * separate ReLU passes, forward_into FCs). Swept over the suffix range
- * (FC-heavy) and the whole network (conv/pool/LRN-heavy), and over
+ * plan's batched conv code (fresh tensors per layer, direct convs,
+ * separate ReLU passes); its FCs run the plan's FC kernel on one
+ * sample, which simd_test pins to the scalar chain bit for bit
+ * (SimdKernels.FcKernelMatchesScalarBitForBit). Swept over the
+ * suffix range (FC-heavy) and the whole network (conv/pool/LRN-heavy),
+ * and over
  * the two served suffixes — faster16 at 96 px after its early target
  * (fc6, fc7, cls_score, bbox_pred) and alexnet at 128 px with
  * 2048-wide FCs.
